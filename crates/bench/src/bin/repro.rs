@@ -14,9 +14,13 @@
 //! repro sweep sweep.json --store out/ --procs 4   # supervised study sweep
 //! ```
 
-use ipv6web_bench::{check_regression, render_diff, BenchReport, Scale, DEFAULT_TOLERANCE};
+use ipv6web_bench::{
+    check_regression, render_diff, validate_output_dir, validate_output_file, write_output,
+    BenchReport, OutputError, Scale, DEFAULT_TOLERANCE,
+};
 use ipv6web_core::{run_study_mode, ExecutionMode};
 use ipv6web_faults::FaultPlan;
+use std::path::Path;
 
 const ARTIFACTS: &[&str] = &[
     "fig1", "fig3a", "fig3b", "tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "tab7", "tab8",
@@ -33,6 +37,12 @@ fn usage() -> ! {
          artifacts: {}",
         ARTIFACTS.join(" ")
     );
+    std::process::exit(2)
+}
+
+/// Reports an output path or write error and exits 2.
+fn output_failure(e: OutputError) -> ! {
+    eprintln!("repro: {e}");
     std::process::exit(2)
 }
 
@@ -127,11 +137,29 @@ fn main() {
     // checkpoint write, after minutes of campaign work. Validate before
     // doing anything expensive and fail with the usual exit code 2.
     if let Some(dir) = &scenario.checkpoint_dir {
-        if let Err(e) = ipv6web_monitor::validate_checkpoint_dir(std::path::Path::new(dir)) {
+        if let Err(e) = ipv6web_monitor::validate_checkpoint_dir(Path::new(dir)) {
             eprintln!("repro: {e}");
             std::process::exit(2);
         }
     }
+    // Output paths and the baseline get the same treatment: a bad one used
+    // to panic on the final write, after the whole study had run.
+    for path in json_out.iter().chain(&metrics_out) {
+        validate_output_file(Path::new(path)).unwrap_or_else(|e| output_failure(e));
+    }
+    if let Some(dir) = &csv_dir {
+        validate_output_dir(Path::new(dir)).unwrap_or_else(|e| output_failure(e));
+    }
+    let baseline = baseline_path.map(|path| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("repro: cannot read baseline {path}: {e}");
+            std::process::exit(2);
+        });
+        BenchReport::from_json(&text).unwrap_or_else(|e| {
+            eprintln!("repro: cannot parse baseline {path}: {e}");
+            std::process::exit(2);
+        })
+    });
     eprintln!("running study (scale {scale:?}, seed {seed}, {mode:?})...");
     let t0 = std::time::Instant::now();
     let study = run_study_mode(&scenario, mode).unwrap_or_else(|e| {
@@ -185,7 +213,6 @@ fn main() {
     if let Some(dir) = csv_dir {
         use ipv6web_analysis::export;
         let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create csv dir");
         let files = [
             ("fig1.csv", export::fig1_csv(&r.fig1)),
             ("fig3a.csv", export::fig3a_csv(&r.fig3a)),
@@ -198,7 +225,7 @@ fn main() {
             ("kept_sites.csv", export::kept_sites_csv(&study.analyses)),
         ];
         for (name, content) in files {
-            std::fs::write(dir.join(name), content).expect("write csv");
+            write_output(&dir.join(name), content, true).unwrap_or_else(|e| output_failure(e));
         }
         eprintln!("wrote CSVs to {}", dir.display());
     }
@@ -217,7 +244,7 @@ fn main() {
             }
         }
         let json = serde_json::to_string_pretty(&value).expect("report serializes");
-        std::fs::write(&path, json).expect("write json report");
+        write_output(Path::new(&path), json, false).unwrap_or_else(|e| output_failure(e));
         eprintln!("wrote JSON report to {path}");
     }
 
@@ -233,14 +260,11 @@ fn main() {
             &study.timings,
             &snap,
         );
-        std::fs::write(&path, bench.to_json()).expect("write bench metrics");
+        write_output(Path::new(&path), bench.to_json(), false)
+            .unwrap_or_else(|e| output_failure(e));
         eprintln!("wrote bench metrics to {path}");
 
-        if let Some(base_path) = baseline_path {
-            let base_json = std::fs::read_to_string(&base_path)
-                .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
-            let base = BenchReport::from_json(&base_json)
-                .unwrap_or_else(|e| panic!("parse baseline {base_path}: {e}"));
+        if let Some(base) = baseline {
             match check_regression(&bench, &base, DEFAULT_TOLERANCE) {
                 Ok(verdict) => eprintln!("bench gate: {verdict}"),
                 Err(verdict) => {

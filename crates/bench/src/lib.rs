@@ -4,10 +4,12 @@ use ipv6web_core::{run_study, Scenario, StudyResult};
 use std::sync::OnceLock;
 
 pub mod metrics;
+pub mod output;
 pub mod reference;
 pub use metrics::{
     check_regression, render_diff, BenchReport, DerivedMetrics, DEFAULT_TOLERANCE, PEAK_RSS_GAUGE,
 };
+pub use output::{validate_output_dir, validate_output_file, write_output, OutputError};
 pub use reference::{render_comparison, shape_checks, ShapeCheck};
 
 /// Scale of a reproduction run.

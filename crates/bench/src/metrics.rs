@@ -4,8 +4,9 @@
 //! inside — the bit-comparable study report: wall times vary run to run,
 //! so they must stay out of anything CI byte-compares. The committed
 //! `BENCH_baseline.json` plus [`check_regression`] turn the file into a
-//! smoke gate: a quick-scale run that gets more than 50% slower than the
-//! baseline fails the build.
+//! smoke gate: a run that does different work than the baseline (any
+//! [`EXACT_COUNTERS`] value moves at the same scale and seed) fails the
+//! build, and so does one that gets more than 50% slower.
 
 use ipv6web_obs::{Snapshot, SpanRecord, Timings};
 use serde::{Deserialize, Serialize};
@@ -24,8 +25,6 @@ pub struct DerivedMetrics {
     pub probes_per_sec: f64,
     /// BGP route computations per wall-clock second.
     pub routes_per_sec: f64,
-    /// DNS cache hits / (hits + misses); 0 when the cache saw no traffic.
-    pub dns_cache_hit_rate: f64,
     /// Epoch-rebuild reuse: routes kept / (kept + recomputed); 0 when the
     /// scenario schedules no route change.
     pub epoch_reuse_rate: f64,
@@ -75,7 +74,6 @@ impl BenchReport {
         let derived = DerivedMetrics {
             probes_per_sec: per_sec(snap.counter("monitor.probes")),
             routes_per_sec: per_sec(snap.counter("bgp.routes_computed")),
-            dns_cache_hit_rate: rate("dns.cache_hits", "dns.cache_misses"),
             epoch_reuse_rate: rate("bgp.epoch.reused", "bgp.epoch.recomputed"),
             peak_workers: snap.gauge("monitor.peak_workers").max(snap.gauge("par.peak_threads")),
         };
@@ -111,8 +109,27 @@ impl BenchReport {
 /// The gauge both reports must carry for the memory gate to engage.
 pub const PEAK_RSS_GAUGE: &str = "process.peak_rss_kb";
 
-/// The CI gate: fails when `current` is more than `tolerance` slower than
-/// `baseline` (wall clock), or — when both reports carry the
+/// Deterministic work counters: the same scale and seed must reproduce
+/// them exactly, at any thread count, so [`check_regression`] compares
+/// them with no tolerance. A change that moves one on purpose
+/// re-baselines.
+pub const EXACT_COUNTERS: &[&str] = &[
+    "dns.queries",
+    "monitor.probes",
+    "monitor.downloads",
+    "bgp.routes_computed",
+    "stats.rng_derivations",
+];
+
+/// Histograms whose sums are work counters too (total DNS bytes on the
+/// wire), compared exactly like [`EXACT_COUNTERS`].
+pub const EXACT_HISTOGRAM_SUMS: &[&str] = &["dns.wire_bytes"];
+
+/// The CI gate. When scale and seed match, it first fails on any
+/// difference in the deterministic work ([`EXACT_COUNTERS`],
+/// [`EXACT_HISTOGRAM_SUMS`]): an algorithmic regression then fails even on
+/// a noisy runner. It then fails when `current` is more than `tolerance`
+/// slower than `baseline` (wall clock), or — when both reports carry the
 /// [`PEAK_RSS_GAUGE`] gauge — more than `tolerance` hungrier in peak
 /// resident memory. Returns a human-readable verdict either way.
 pub fn check_regression(
@@ -125,6 +142,28 @@ pub fn check_regression(
             "scale mismatch: run is {:?}, baseline is {:?} — not comparable",
             current.scale, baseline.scale
         ));
+    }
+    if current.seed == baseline.seed {
+        let counters = EXACT_COUNTERS
+            .iter()
+            .map(|&k| (k, current.counters.get(k).copied(), baseline.counters.get(k).copied()));
+        let sums = EXACT_HISTOGRAM_SUMS.iter().map(|&k| {
+            let sum = |r: &BenchReport| r.histograms.get(k).map(|h| h.sum);
+            (k, sum(current), sum(baseline))
+        });
+        for (name, cur, base) in counters.chain(sums) {
+            if cur != base {
+                let show =
+                    |v: Option<u64>| v.map_or_else(|| "absent".to_string(), |n| n.to_string());
+                return Err(format!(
+                    "work counter {name} changed: {} vs baseline {} at seed {} \
+                     (deterministic work must match exactly; re-baseline if intended)",
+                    show(cur),
+                    show(base),
+                    current.seed
+                ));
+            }
+        }
     }
     let limit = baseline.wall_s * (1.0 + tolerance);
     let pct = if baseline.wall_s > 0.0 {
@@ -140,8 +179,9 @@ pub fn check_regression(
             tolerance * 100.0
         ));
     }
+    let exact = if current.seed == baseline.seed { "work counters exact; " } else { "" };
     let wall_verdict = format!(
-        "wall time OK: {:.3}s vs baseline {:.3}s ({pct:+.1}%, limit +{:.0}%)",
+        "{exact}wall time OK: {:.3}s vs baseline {:.3}s ({pct:+.1}%, limit +{:.0}%)",
         current.wall_s,
         baseline.wall_s,
         tolerance * 100.0
@@ -208,8 +248,19 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.counters.insert("monitor.probes".into(), 1000);
         snap.counters.insert("bgp.routes_computed".into(), 500);
-        snap.counters.insert("dns.cache_hits".into(), 75);
-        snap.counters.insert("dns.cache_misses".into(), 25);
+        snap.counters.insert("dns.queries".into(), 2000);
+        snap.counters.insert("monitor.downloads".into(), 3000);
+        snap.counters.insert("stats.rng_derivations".into(), 1001);
+        snap.histograms.insert(
+            "dns.wire_bytes".into(),
+            ipv6web_obs::HistogramSnapshot {
+                count: 2000,
+                sum: 150_000,
+                min: 70,
+                max: 80,
+                buckets: Vec::new(),
+            },
+        );
         snap.gauges.insert("monitor.peak_workers".into(), 8);
         snap.gauges.insert("par.peak_threads".into(), 4);
         let timings = Timings {
@@ -223,7 +274,6 @@ mod tests {
         let r = report(10.0);
         assert!((r.derived.probes_per_sec - 100.0).abs() < 1e-9);
         assert!((r.derived.routes_per_sec - 50.0).abs() < 1e-9);
-        assert!((r.derived.dns_cache_hit_rate - 0.75).abs() < 1e-9);
         assert_eq!(r.derived.epoch_reuse_rate, 0.0, "no epoch counters → 0");
         assert_eq!(r.derived.peak_workers, 8, "max over both worker gauges");
     }
@@ -303,5 +353,69 @@ mod tests {
         // a phase only the baseline has still shows up
         let diff_rev = render_diff(&base, &cur);
         assert!(diff_rev.contains("campaign: Penn"), "baseline-only phase missing:\n{diff_rev}");
+    }
+
+    #[test]
+    fn exact_gate_fails_on_one_extra_dns_query() {
+        let base = report(10.0);
+        let mut cur = report(10.0);
+        *cur.counters.get_mut("dns.queries").unwrap() += 1;
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("work counter dns.queries changed: 2001 vs baseline 2000"), "{err}");
+        // far faster does not buy it back: the gate is exact, not a budget
+        cur.wall_s = 1.0;
+        assert!(check_regression(&cur, &base, DEFAULT_TOLERANCE).is_err());
+    }
+
+    #[test]
+    fn exact_gate_covers_every_work_counter_and_wire_bytes() {
+        let base = report(10.0);
+        for name in EXACT_COUNTERS {
+            let mut cur = report(10.0);
+            *cur.counters.entry(name.to_string()).or_insert(0) += 1;
+            let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+            assert!(err.contains(name), "{name}: {err}");
+        }
+        let mut cur = report(10.0);
+        cur.counters.remove("monitor.probes");
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("absent vs baseline 1000"), "{err}");
+        let mut cur = report(10.0);
+        cur.histograms.get_mut("dns.wire_bytes").unwrap().sum -= 1;
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("dns.wire_bytes"), "{err}");
+    }
+
+    #[test]
+    fn exact_gate_only_compares_runs_of_the_same_seed() {
+        let base = report(10.0);
+        let mut cur = report(10.0);
+        cur.seed = 7;
+        *cur.counters.get_mut("dns.queries").unwrap() += 1;
+        let ok = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap();
+        assert!(!ok.contains("work counters"), "{ok}");
+        let same = check_regression(&base, &base, DEFAULT_TOLERANCE).unwrap();
+        assert!(same.starts_with("work counters exact; wall time OK"), "{same}");
+    }
+
+    #[test]
+    fn committed_baselines_parse_and_pass_their_own_gate() {
+        // the baselines predate some schema edits (e.g. a removed derived
+        // ratio); they must keep parsing and gating
+        for name in [
+            "BENCH_baseline.json",
+            "BENCH_faults_baseline.json",
+            "BENCH_internet_baseline.json",
+            "BENCH_nat64_baseline.json",
+            "BENCH_panel_baseline.json",
+        ] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let base = BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            for counter in EXACT_COUNTERS {
+                assert!(base.counters.contains_key(*counter), "{name} lacks {counter}");
+            }
+            assert!(check_regression(&base, &base, DEFAULT_TOLERANCE).is_ok(), "{name}");
+        }
     }
 }

@@ -57,3 +57,51 @@ fn unknown_scale_still_exits_2() {
         assert!(stderr.contains(scale), "error must offer `{scale}`: {stderr}");
     }
 }
+
+#[test]
+fn unwritable_output_paths_fail_fast_with_exit_2() {
+    // `repro tab1 --json /nonexistent/dir/x.json` used to panic (exit 101)
+    // on the final write, after the whole study had run. Every output flag
+    // must now fail before the study starts, with a readable message.
+    let missing = std::env::temp_dir().join("ipv6web-no-such-output-dir");
+    assert!(!missing.exists(), "directory must not exist for this test");
+    let file = std::env::temp_dir().join(format!("ipv6web-output-file-{}", std::process::id()));
+    std::fs::write(&file, b"in the way").unwrap();
+    let json = missing.join("x.json");
+    let metrics = missing.join("BENCH.json");
+    let csv_under_file = file.join("csv");
+    let tmp = std::env::temp_dir();
+    let cases: [(&[&str], &str); 4] = [
+        (&["tab1", "--json", json.to_str().unwrap()], "does not exist"),
+        (&["tab1", "--metrics", metrics.to_str().unwrap()], "does not exist"),
+        (&["tab1", "--csv", csv_under_file.to_str().unwrap()], "is not a directory"),
+        (&["tab1", "--json", tmp.to_str().unwrap()], "is a directory"),
+    ];
+    for (args, want) in cases {
+        let start = std::time::Instant::now();
+        let out = repro().args(args).output().expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: expected `{want}`, got: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("running study"), "{args:?} must fail before the study: {stderr}");
+        assert!(start.elapsed().as_secs() < 30, "{args:?} took {:?}", start.elapsed());
+    }
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
+fn unreadable_baseline_fails_fast_with_exit_2() {
+    let missing = std::env::temp_dir().join("ipv6web-no-such-baseline.json");
+    let metrics = std::env::temp_dir().join(format!("ipv6web-bench-{}.json", std::process::id()));
+    let out = repro()
+        .args(["tab1", "--metrics", metrics.to_str().unwrap()])
+        .args(["--baseline", missing.to_str().unwrap()])
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("cannot read baseline"), "{stderr}");
+    assert!(!stderr.contains("running study"), "{stderr}");
+    assert!(!metrics.exists(), "nothing written when the run is refused");
+}

@@ -7,10 +7,12 @@
 //!   have AAAA records, and what addresses they resolve to. Sites becoming
 //!   IPv6-accessible over the campaign is modeled as AAAA records appearing
 //!   at a given week.
-//! * [`resolver`] — a caching stub resolver with TTL expiry, mirroring the
-//!   resolver each vantage point used.
+//! * [`resolver`] — the stub resolver each vantage point used. The monitor
+//!   resets it before every download, so it keeps no cache: every query is
+//!   one wire round trip to the authority, with optional DNS64 synthesis.
 //! * [`wire`] — an RFC 1035 message codec (header, question, answer with
-//!   A/AAAA RDATA) so queries and responses exist as real bytes.
+//!   A/AAAA RDATA) so queries and responses exist as real bytes. It encodes
+//!   into and decodes from reused buffers.
 
 pub mod names;
 pub mod records;
@@ -19,7 +21,7 @@ pub mod wire;
 pub mod zone;
 
 pub use names::{NameId, NameTable};
-pub use records::{Record, RecordData, RecordType};
+pub use records::{Answer, RecordData, RecordType};
 pub use resolver::{DnsError, Resolver, ResolverStats};
-pub use wire::{DnsHeader, DnsMessage, DnsQuestion, DnsRecordWire};
+pub use wire::{DecodedMessage, DnsHeader};
 pub use zone::{ZoneDb, ZoneEntry};

@@ -1,11 +1,11 @@
 //! Interned DNS names.
 //!
 //! The internet-scale tier registers a million site names; storing each as
-//! its own `String` (in the zone, again in every `Site`, again in resolver
-//! caches) costs several heap allocations and ~60 bytes of overhead per
-//! copy. A [`NameTable`] stores every distinct name once in a shared byte
-//! arena and hands out dense `u32` [`NameId`]s; everything else carries the
-//! id and borrows the bytes back on demand.
+//! its own `String` (in the zone, again in every `Site`) costs several heap
+//! allocations and ~60 bytes of overhead per copy. A [`NameTable`] stores
+//! every distinct name once in a shared byte arena and hands out dense
+//! `u32` [`NameId`]s; everything else carries the id and borrows the bytes
+//! back on demand.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

@@ -50,27 +50,15 @@ impl RecordData {
     }
 }
 
-/// One resource record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Record {
-    /// Owner name (e.g. `site42.example`).
-    pub name: String,
+/// One answer record as the resolver hands it back: the address payload
+/// and its TTL. The owner name is always the question's, so it is not
+/// carried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Answer {
     /// Address payload.
     pub data: RecordData,
     /// Time to live, seconds.
     pub ttl: u32,
-}
-
-impl Record {
-    /// Convenience constructor for an A record.
-    pub fn a(name: impl Into<String>, addr: Ipv4Addr, ttl: u32) -> Self {
-        Record { name: name.into(), data: RecordData::V4(addr), ttl }
-    }
-
-    /// Convenience constructor for an AAAA record.
-    pub fn aaaa(name: impl Into<String>, addr: Ipv6Addr, ttl: u32) -> Self {
-        Record { name: name.into(), data: RecordData::V6(addr), ttl }
-    }
 }
 
 #[cfg(test)]
@@ -90,15 +78,5 @@ mod tests {
     fn data_knows_its_type() {
         assert_eq!(RecordData::V4(Ipv4Addr::LOCALHOST).record_type(), RecordType::A);
         assert_eq!(RecordData::V6(Ipv6Addr::LOCALHOST).record_type(), RecordType::Aaaa);
-    }
-
-    #[test]
-    fn constructors() {
-        let a = Record::a("x.example", Ipv4Addr::new(192, 0, 2, 1), 300);
-        assert_eq!(a.name, "x.example");
-        assert_eq!(a.ttl, 300);
-        assert_eq!(a.data.record_type(), RecordType::A);
-        let q = Record::aaaa("x.example", "2001:db8::1".parse().unwrap(), 60);
-        assert_eq!(q.data.record_type(), RecordType::Aaaa);
     }
 }

@@ -10,7 +10,7 @@
 //! byte arena plus one entry array instead of a map of heap strings.
 
 use crate::names::{NameId, NameTable};
-use crate::records::{Record, RecordData, RecordType};
+use crate::records::{Answer, RecordData, RecordType};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -110,37 +110,23 @@ impl ZoneDb {
         self.entries.get(id.index())?.as_ref()
     }
 
-    /// Authoritative answer for `(name, qtype)` as of campaign `week`.
-    /// Returns an empty vec for NODATA (name exists, no such record) and
-    /// `None` for NXDOMAIN.
-    pub fn query(&self, name: &str, qtype: RecordType, week: u32) -> Option<Vec<Record>> {
+    /// Authoritative answer for `(name, qtype)` as of campaign `week`:
+    /// `None` for NXDOMAIN, `Some(None)` for NODATA (the name exists, the
+    /// record does not), `Some(Some(answer))` otherwise. A name carries at
+    /// most one record of each type.
+    pub fn answer(&self, name: &str, qtype: RecordType, week: u32) -> Option<Option<Answer>> {
         let e = self.entry(name)?;
-        let mut answers = Vec::new();
-        match qtype {
-            RecordType::A => answers.push(Record {
-                name: name.to_string(),
-                data: RecordData::V4(e.v4),
-                ttl: e.ttl,
-            }),
-            RecordType::Aaaa => {
-                if let Some(v6) = e.v6 {
-                    if week >= e.v6_from_week {
-                        answers.push(Record {
-                            name: name.to_string(),
-                            data: RecordData::V6(v6),
-                            ttl: e.ttl,
-                        });
-                    }
-                }
-            }
-        }
-        Some(answers)
+        let data = match qtype {
+            RecordType::A => Some(RecordData::V4(e.v4)),
+            RecordType::Aaaa => e.v6.filter(|_| week >= e.v6_from_week).map(RecordData::V6),
+        };
+        Some(data.map(|data| Answer { data, ttl: e.ttl }))
     }
 
     /// Whether `name` has both A and AAAA as of `week` — the study's
     /// dual-stack criterion.
     pub fn is_dual_stack(&self, name: &str, week: u32) -> bool {
-        matches!(self.query(name, RecordType::Aaaa, week), Some(v) if !v.is_empty())
+        matches!(self.answer(name, RecordType::Aaaa, week), Some(Some(_)))
     }
 }
 
@@ -195,29 +181,32 @@ mod tests {
     #[test]
     fn a_record_always_answered() {
         let db = db();
-        let ans = db.query("dual.example", RecordType::A, 0).unwrap();
-        assert_eq!(ans.len(), 1);
-        assert_eq!(ans[0].data, RecordData::V4(Ipv4Addr::new(192, 0, 2, 1)));
+        let ans = db.answer("dual.example", RecordType::A, 0).unwrap().expect("A answer");
+        assert_eq!(ans.data, RecordData::V4(Ipv4Addr::new(192, 0, 2, 1)));
+        assert_eq!(ans.ttl, 300);
     }
 
     #[test]
     fn aaaa_appears_at_publication_week() {
         let db = db();
-        assert!(db.query("dual.example", RecordType::Aaaa, 9).unwrap().is_empty());
-        assert_eq!(db.query("dual.example", RecordType::Aaaa, 10).unwrap().len(), 1);
-        assert_eq!(db.query("dual.example", RecordType::Aaaa, 50).unwrap().len(), 1);
+        assert!(db.answer("dual.example", RecordType::Aaaa, 9).unwrap().is_none());
+        assert!(db.answer("dual.example", RecordType::Aaaa, 10).unwrap().is_some());
+        assert!(db.answer("dual.example", RecordType::Aaaa, 50).unwrap().is_some());
     }
 
     #[test]
     fn v4_only_site_nodata_for_aaaa() {
         let db = db();
-        let ans = db.query("v4only.example", RecordType::Aaaa, 99).unwrap();
-        assert!(ans.is_empty(), "NODATA, not NXDOMAIN");
+        assert_eq!(
+            db.answer("v4only.example", RecordType::Aaaa, 99),
+            Some(None),
+            "NODATA, not NXDOMAIN"
+        );
     }
 
     #[test]
     fn unknown_name_nxdomain() {
-        assert_eq!(db().query("nope.example", RecordType::A, 0), None);
+        assert_eq!(db().answer("nope.example", RecordType::A, 0), None);
     }
 
     #[test]
@@ -263,7 +252,7 @@ mod tests {
         assert_eq!(db.len(), 1);
         assert!(db.entry("a.example").is_some());
         assert!(db.entry_by_id(b).is_none(), "interned but record-less name is NXDOMAIN");
-        assert_eq!(db.query("b.example", RecordType::A, 0), None);
+        assert_eq!(db.answer("b.example", RecordType::A, 0), None);
     }
 
     #[test]

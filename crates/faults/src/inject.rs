@@ -7,7 +7,7 @@
 
 use crate::plan::{DnsFaultKind, FaultPlan, HttpFaultKind};
 use crate::record_injection;
-use ipv6web_stats::{coin, derive_rng};
+use ipv6web_stats::{coin, derive_rng, derive_rng_fmt};
 use ipv6web_topology::{EdgeId, Family, Topology};
 
 /// How injected link faults impact one probe's path for one family.
@@ -64,8 +64,9 @@ impl FaultInjector {
             if week < f.from_week || week >= f.from_week + f.weeks {
                 continue;
             }
-            let label = format!("fault:dns:{i}:{vantage}:{site}:{qtype}:{week}:{salt}:{attempt}");
-            if coin(&mut derive_rng(self.seed, &label), f.prob) {
+            let label =
+                format_args!("fault:dns:{i}:{vantage}:{site}:{qtype}:{week}:{salt}:{attempt}");
+            if coin(&mut derive_rng_fmt(self.seed, label), f.prob) {
                 record_injection(match f.kind {
                     DnsFaultKind::ServFail => "faults.injected.dns_servfail",
                     DnsFaultKind::Timeout => "faults.injected.dns_timeout",
@@ -97,10 +98,10 @@ impl FaultInjector {
             if week < f.from_week || week >= f.from_week + f.weeks {
                 continue;
             }
-            let label = format!(
+            let label = format_args!(
                 "fault:http:{i}:{vantage}:{site}:{family:?}:{phase}:{week}:{salt}:{attempt}"
             );
-            if coin(&mut derive_rng(self.seed, &label), f.prob) {
+            if coin(&mut derive_rng_fmt(self.seed, label), f.prob) {
                 record_injection(match f.kind {
                     HttpFaultKind::Stall => "faults.injected.http_stall",
                     HttpFaultKind::Reset => "faults.injected.http_reset",

@@ -14,11 +14,11 @@
 use crate::db::PerfSample;
 use crate::disturbance::Disturbances;
 use ipv6web_bgp::{BgpTable, RouteRef};
-use ipv6web_dns::{DnsError, Record, RecordData, RecordType, Resolver, ZoneDb};
+use ipv6web_dns::{Answer, DnsError, RecordData, RecordType, Resolver, ZoneDb};
 use ipv6web_faults::{DnsFaultKind, FaultClock, FaultInjector, HttpFaultKind, RetryPolicy};
 use ipv6web_netsim::{download_time, translated_metrics, DataPlane, PathMetrics, TcpConfig};
 use ipv6web_stats::ci::SamplingDecision;
-use ipv6web_stats::{derive_rng, lognormal, mean_ci, RelativeCiRule, StudentT, Welford};
+use ipv6web_stats::{derive_rng_fmt, lognormal, mean_ci, RelativeCiRule, StudentT, Welford};
 use ipv6web_topology::{Family, Topology};
 use ipv6web_web::{
     build_request, build_response_header, pages_identical, parse_response_len, truncate_response,
@@ -171,15 +171,17 @@ fn probe_site_inner(
 ) -> ProbeOutcome {
     ipv6web_obs::inc("monitor.probes");
     let site = &ctx.sites[site_id.index()];
-    let mut rng = derive_rng(
+    let mut rng = derive_rng_fmt(
         ctx.seed,
-        &format!("{}:probe:{}:{}:{}", ctx.vantage_name, week, salt, site_id.0),
+        format_args!("{}:probe:{}:{}:{}", ctx.vantage_name, week, salt, site_id.0),
     );
-    let now_s = week as u64 * 604_800 + rng.gen_range(0..600_000);
+    // The query time within the week. Nothing reads it (the resolver keeps
+    // no cache that could expire), but dropping the draw would shift every
+    // later draw of this stream and change every report.
+    let _query_time_s: u64 = rng.gen_range(0..600_000);
 
     // --- phase 1: DNS ------------------------------------------------------
-    let Ok(a) =
-        resolve_through_faults(ctx, resolver, fs, site_id, RecordType::A, week, salt, now_s)
+    let Ok(a) = resolve_through_faults(ctx, resolver, fs, site_id, RecordType::A, week, salt)
     else {
         ipv6web_obs::inc("monitor.outcome.dns_failure");
         return ProbeOutcome::DnsFailure;
@@ -188,14 +190,13 @@ fn probe_site_inner(
         ipv6web_obs::inc("monitor.outcome.nxdomain");
         return ProbeOutcome::NxDomain;
     };
-    let Ok(aaaa) =
-        resolve_through_faults(ctx, resolver, fs, site_id, RecordType::Aaaa, week, salt, now_s)
+    let Ok(aaaa) = resolve_through_faults(ctx, resolver, fs, site_id, RecordType::Aaaa, week, salt)
     else {
         ipv6web_obs::inc("monitor.outcome.dns_failure");
         return ProbeOutcome::DnsFailure;
     };
-    let aaaa = aaaa.unwrap_or_default();
-    if a.is_empty() || aaaa.is_empty() {
+    let aaaa = aaaa.unwrap_or(DnsAnswer::NODATA);
+    if !a.any || !aaaa.any {
         ipv6web_obs::inc("monitor.outcome.v4_only");
         return ProbeOutcome::V4Only;
     }
@@ -211,12 +212,7 @@ fn probe_site_inner(
         // only through the translator. Keep the classic classification (the
         // reachability tables count native dual-stack) and count it for the
         // xlat report.
-        let all_synthesized = !aaaa.is_empty()
-            && aaaa.iter().all(|r| match r.data {
-                RecordData::V6(v6) => ipv6web_xlat::is_synthesized(v6),
-                RecordData::V4(_) => false,
-            });
-        if all_synthesized {
+        if aaaa.all_synthesized {
             ipv6web_obs::inc("xlat.translator_only");
             ipv6web_obs::inc("monitor.outcome.v4_only");
             return ProbeOutcome::V4Only;
@@ -426,8 +422,6 @@ fn probe_site_inner(
         };
         let mut times = Welford::new();
         loop {
-            // "each after proper resetting to avoid local caching effects"
-            resolver.flush();
             // server-side faults for this download: stalls slow it, resets
             // and truncations force a retried exchange
             let mut injected_stall_ms = 0.0;
@@ -605,9 +599,32 @@ fn dns_error_of(kind: DnsFaultKind) -> DnsError {
     }
 }
 
+/// What the probe reads from one DNS answer.
+#[derive(Clone, Copy)]
+struct DnsAnswer {
+    /// At least one record came back.
+    any: bool,
+    /// Every record is a DNS64-synthesized AAAA (and there is at least one).
+    all_synthesized: bool,
+}
+
+impl DnsAnswer {
+    const NODATA: DnsAnswer = DnsAnswer { any: false, all_synthesized: false };
+
+    fn of(answers: &[Answer]) -> DnsAnswer {
+        DnsAnswer {
+            any: !answers.is_empty(),
+            all_synthesized: !answers.is_empty()
+                && answers.iter().all(|r| match r.data {
+                    RecordData::V6(v6) => ipv6web_xlat::is_synthesized(v6),
+                    RecordData::V4(_) => false,
+                }),
+        }
+    }
+}
+
 /// One DNS lookup, retried through injected faults. `Err(())` means the
 /// retry policy was exhausted; `Ok(None)` is an authoritative NXDOMAIN.
-#[allow(clippy::too_many_arguments)]
 fn resolve_through_faults(
     ctx: &ProbeContext<'_>,
     resolver: &mut Resolver,
@@ -616,11 +633,10 @@ fn resolve_through_faults(
     qtype: RecordType,
     week: u32,
     salt: u32,
-    now_s: u64,
-) -> Result<Option<Vec<Record>>, ()> {
+) -> Result<Option<DnsAnswer>, ()> {
     let name = ctx.zone.name_of(ctx.sites[site_id.index()].name);
     let Some(s) = fs.as_mut() else {
-        return Ok(resolver.resolve(ctx.zone, name, qtype, week, now_s));
+        return Ok(resolver.resolve(ctx.zone, name, qtype, week).map(DnsAnswer::of));
     };
     let qtag = match qtype {
         RecordType::A => "A",
@@ -630,13 +646,12 @@ fn resolve_through_faults(
     loop {
         let fault =
             s.faults.injector.dns_fault(ctx.vantage_name, site_id.0, qtag, week, salt, attempt);
-        match resolver.resolve_faulted(ctx.zone, name, qtype, week, now_s, fault.map(dns_error_of))
-        {
+        match resolver.resolve_faulted(ctx.zone, name, qtype, week, fault.map(dns_error_of)) {
             Ok(answer) => {
                 if attempt > 0 {
                     ipv6web_obs::inc("faults.probe.recovered");
                 }
-                return Ok(answer);
+                return Ok(answer.map(DnsAnswer::of));
             }
             Err(err) => {
                 let cost = match err {

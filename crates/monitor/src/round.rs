@@ -367,8 +367,9 @@ fn run_pool(
             let work_rx = work_rx.clone();
             let res_tx = res_tx.clone();
             scope.spawn(move || {
-                // each worker keeps its own caching resolver, like each of
-                // the paper's monitoring threads resolving independently
+                // each worker keeps its own resolver (and its wire
+                // buffers), like each of the paper's monitoring threads
+                // resolving independently
                 let mut resolver = resolver_for(ctx);
                 while let Ok(site) = work_rx.recv() {
                     let outcome = probe_site(ctx, &mut resolver, site, week, salt, ipv6_day_mode);

@@ -22,8 +22,8 @@ fn dns_query_resolves_into_generated_topology_addresses() {
         .find(|s| s.v6.as_ref().is_some_and(|v| v.from_week == 0 && !v.via_6to4))
         .expect("native dual site");
     let name = zone.name_of(dual.name);
-    let a = resolver.resolve(&zone, name, RecordType::A, 0, 0).unwrap();
-    let aaaa = resolver.resolve(&zone, name, RecordType::Aaaa, 0, 0).unwrap();
+    let a = resolver.resolve(&zone, name, RecordType::A, 0).unwrap().to_vec();
+    let aaaa = resolver.resolve(&zone, name, RecordType::Aaaa, 0).unwrap().to_vec();
     assert_eq!(a.len(), 1);
     assert_eq!(aaaa.len(), 1);
     // the addresses belong to the right ASes
