@@ -169,7 +169,7 @@ fn main() {
     let wall_s = t0.elapsed().as_secs_f64();
     eprintln!("study complete in {wall_s:.1}s\n");
     eprint!("{}", study.timings.render());
-    eprintln!();
+    eprintln!("study wall clock: {wall_s:.3}s\n");
     let r = &study.report;
 
     for artifact in &wanted {

@@ -112,13 +112,16 @@ pub const PEAK_RSS_GAUGE: &str = "process.peak_rss_kb";
 /// Deterministic work counters: the same scale and seed must reproduce
 /// them exactly, at any thread count, so [`check_regression`] compares
 /// them with no tolerance. A change that moves one on purpose
-/// re-baselines.
+/// re-baselines. `store.ckpt_bytes` (round-log bytes written) is absent
+/// from runs without a checkpoint directory, so it only gates checkpointed
+/// runs against checkpointed baselines.
 pub const EXACT_COUNTERS: &[&str] = &[
     "dns.queries",
     "monitor.probes",
     "monitor.downloads",
     "bgp.routes_computed",
     "stats.rng_derivations",
+    "store.ckpt_bytes",
 ];
 
 /// Histograms whose sums are work counters too (total DNS bytes on the
@@ -243,6 +246,7 @@ pub fn render_diff(current: &BenchReport, baseline: &BenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipv6web_monitor::durable::RoundLog;
 
     fn report(wall_s: f64) -> BenchReport {
         let mut snap = Snapshot::default();
@@ -368,6 +372,31 @@ mod tests {
     }
 
     #[test]
+    fn exact_gate_fails_on_one_extra_checkpoint_frame() {
+        // the bytes one more round-log frame (an outage week) adds
+        let dir = std::env::temp_dir().join(format!("ipv6web-gate-frame-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("vp.log");
+        let (mut log, _) = RoundLog::open(&path, "VP", 1, |_| {}).unwrap();
+        log.append_outage(3).unwrap();
+        let before = std::fs::metadata(&path).unwrap().len();
+        log.append_outage(4).unwrap();
+        let frame = std::fs::metadata(&path).unwrap().len() - before;
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut base = report(10.0);
+        base.counters.insert("store.ckpt_bytes".into(), 3_106_940);
+        let mut cur = base.clone();
+        assert!(check_regression(&cur, &base, DEFAULT_TOLERANCE).is_ok());
+        *cur.counters.get_mut("store.ckpt_bytes").unwrap() += frame;
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("work counter store.ckpt_bytes changed"), "{err}");
+        // runs without checkpoints carry no such counter and still pass
+        assert!(check_regression(&report(10.0), &report(10.0), DEFAULT_TOLERANCE).is_ok());
+    }
+
+    #[test]
     fn exact_gate_covers_every_work_counter_and_wire_bytes() {
         let base = report(10.0);
         for name in EXACT_COUNTERS {
@@ -413,7 +442,10 @@ mod tests {
             let text = std::fs::read_to_string(&path).unwrap();
             let base = BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             for counter in EXACT_COUNTERS {
-                assert!(base.counters.contains_key(*counter), "{name} lacks {counter}");
+                // the baselines run without a checkpoint directory, so they
+                // carry every work counter except the round-log bytes
+                let expected = *counter != "store.ckpt_bytes";
+                assert_eq!(base.counters.contains_key(*counter), expected, "{name}: {counter}");
             }
             assert!(check_regression(&base, &base, DEFAULT_TOLERANCE).is_ok(), "{name}");
         }

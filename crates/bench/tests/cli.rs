@@ -47,6 +47,24 @@ fn checkpoint_path_that_is_a_file_fails_fast() {
 }
 
 #[test]
+fn legacy_json_checkpoint_dir_exits_2() {
+    // a directory from before round logs holds `<slug>.json` snapshots;
+    // they are refused with a typed error, never half-read as a log
+    let dir = std::env::temp_dir().join(format!("ipv6web-legacy-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("penn.json"), b"{}").unwrap();
+    let out = repro()
+        .args(["tab1", "--checkpoint-dir", dir.to_str().unwrap()])
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("penn.json is a JSON checkpoint"), "unexpected message: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_scale_still_exits_2() {
     let out = repro().args(["all", "--scale", "galactic"]).output().expect("run repro");
     assert_eq!(out.status.code(), Some(2));

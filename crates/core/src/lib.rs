@@ -27,6 +27,7 @@ pub mod scenario;
 pub mod study;
 pub mod world;
 
+pub use ipv6web_monitor::durable;
 pub use ipv6web_obs::{SpanRecord, Timings};
 pub use report::Report;
 pub use scenario::{Scenario, StreamRoutes};

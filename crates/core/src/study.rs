@@ -5,8 +5,7 @@ use crate::scenario::Scenario;
 use crate::world::World;
 use ipv6web_analysis::{analyze_vantage_faulted, AnalysisConfig, VantageAnalysis};
 use ipv6web_monitor::{
-    checkpoint_path, run_campaign_resumable, run_ipv6_day_rounds, validate_checkpoint_dir,
-    CampaignError, MonitorDb,
+    run_campaign_resumable, run_ipv6_day_rounds, validate_checkpoint_dir, CampaignError, MonitorDb,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -109,25 +108,13 @@ fn for_each_vantage<R: Send>(
     }
 }
 
-/// Loads a previous partial run from the checkpoint directory, if one was
-/// left behind for this vantage point.
-fn load_resume(dir: Option<&Path>, vantage: &str) -> Result<Option<MonitorDb>, CampaignError> {
-    let Some(dir) = dir else { return Ok(None) };
-    let path = checkpoint_path(dir, vantage);
-    if !path.exists() {
-        return Ok(None);
-    }
-    MonitorDb::load_json(&path)
-        .map(Some)
-        .map_err(|source| CampaignError::Checkpoint { path, source })
-}
-
 /// Runs the complete study: weekly campaigns from all six vantage points,
 /// the World IPv6 Day experiment, analysis, and report assembly.
 ///
 /// When the scenario carries a checkpoint directory, each vantage point's
-/// database is snapshotted after every round and a rerun resumes from the
-/// last completed round instead of re-probing. A non-empty
+/// campaign appends every completed round to its round log there, and a
+/// rerun replays the log and resumes from the last completed round instead
+/// of re-probing. A non-empty
 /// [`Scenario::faults`] plan drives deterministic fault injection
 /// throughout; an empty plan reproduces the fault-free pipeline
 /// bit-identically.
@@ -142,8 +129,8 @@ pub fn run_study(scenario: &Scenario) -> Result<StudyResult, StudyError> {
 pub fn run_study_mode(scenario: &Scenario, mode: ExecutionMode) -> Result<StudyResult, StudyError> {
     scenario.validate().map_err(StudyError::InvalidScenario)?;
     // Checkpoint-dir problems (a typo'd parent, a file in the way) surface
-    // *before* the world build, not minutes later at the first atomic
-    // temp+rename checkpoint write.
+    // *before* the world build, not minutes later at the first checkpoint
+    // write.
     let ckpt_dir = scenario.checkpoint_dir.as_deref().map(Path::new);
     if let Some(dir) = ckpt_dir {
         validate_checkpoint_dir(dir).map_err(CampaignError::Config)?;
@@ -214,7 +201,6 @@ fn run_study_from_mark(
             let mark = ipv6web_obs::span_mark();
             let db = {
                 let _s = ipv6web_obs::span(format!("campaign: {}", vantage.name));
-                let resume = load_resume(ckpt_dir, &vantage.name)?;
                 run_campaign_resumable(
                     &ctx,
                     vantage,
@@ -222,7 +208,7 @@ fn run_study_from_mark(
                     &world.tail_ids,
                     |id| sites[id as usize].first_seen_week,
                     &scenario.campaign,
-                    resume,
+                    None,
                     ckpt_dir,
                 )?
             };

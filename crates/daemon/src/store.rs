@@ -5,9 +5,8 @@
 //!
 //! * `{id}.json` — the [`JobRecord`], rewritten (atomic temp+rename) on
 //!   every state change;
-//! * `{id}.ckpt/` — the study's per-vantage round checkpoints (the PR 3
-//!   substrate), which is what lets a rebooted daemon resume a killed job
-//!   from its last completed round;
+//! * `{id}.ckpt/` — the study's per-vantage round logs, which is what lets
+//!   a rebooted daemon resume a killed job from its last completed round;
 //! * `{id}.report.json` — the finished report, byte-identical to
 //!   `repro --json` output for the same scenario.
 //!
@@ -17,11 +16,13 @@
 //! submission order.
 
 use crate::job::JobRecord;
+use ipv6web_monitor::durable::{quarantine, write_atomic};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Handle on the store directory. All writes are atomic temp+rename, so a
-/// reader (or the next boot) only ever sees complete documents.
+/// Handle on the store directory. All writes go through
+/// [`write_atomic`] (fsynced temp + rename), so a reader (or the next
+/// boot) only ever sees complete documents.
 #[derive(Debug, Clone)]
 pub struct JobStore {
     dir: PathBuf,
@@ -65,23 +66,16 @@ impl JobStore {
         self.dir.join(format!("{id}.ckpt"))
     }
 
-    /// Atomically writes `bytes` to `path` via a `.tmp` sibling + rename.
-    fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)
-    }
-
     /// Persists a record (atomic; overwrites any previous version).
     pub fn save(&self, record: &JobRecord) -> io::Result<()> {
         let json = serde_json::to_string_pretty(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Self::write_atomic(&self.record_path(&record.id), json.as_bytes())
+        write_atomic(&self.record_path(&record.id), json.as_bytes())
     }
 
     /// Persists a finished report (atomic).
     pub fn save_report(&self, id: &str, bytes: &[u8]) -> io::Result<()> {
-        Self::write_atomic(&self.report_path(id), bytes)
+        write_atomic(&self.report_path(id), bytes)
     }
 
     /// Reads a finished report back, `None` when absent.
@@ -120,12 +114,7 @@ impl JobStore {
                 .filter(|rec| format!("{}.json", rec.id) == name);
             match parsed {
                 Some(rec) => out.records.push(rec),
-                None => {
-                    let corrupt = path.with_extension("json.corrupt");
-                    std::fs::rename(&path, &corrupt)?;
-                    ipv6web_obs::inc("store.quarantined");
-                    out.quarantined.push(corrupt);
-                }
+                None => out.quarantined.push(quarantine(&path)?),
             }
         }
         out.records.sort_by_key(|r| r.seq);

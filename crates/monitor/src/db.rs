@@ -187,22 +187,13 @@ impl MonitorDb {
     /// Writes the database as pretty JSON (the central repository's
     /// archival format).
     ///
-    /// The write is atomic — JSON lands in a sibling temp file first and is
-    /// renamed into place — so a crash mid-write (or mid-campaign
-    /// checkpoint) never leaves a torn snapshot behind. Errors carry the
+    /// The write is atomic ([`crate::durable::write_atomic`]), so a crash
+    /// mid-write never leaves a torn snapshot behind. Errors carry the
     /// target path.
     pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let with_path =
-            |e: std::io::Error| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()));
         let json = serde_json::to_string_pretty(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-            .map_err(with_path)?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, json).map_err(with_path)?;
-        std::fs::rename(&tmp, path).map_err(with_path)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        crate::durable::write_atomic(path.as_ref(), json.as_bytes())
     }
 
     /// Loads a database written by [`MonitorDb::save_json`].

@@ -26,6 +26,7 @@
 
 pub mod db;
 pub mod disturbance;
+pub mod durable;
 pub mod population;
 pub mod probe;
 pub mod round;
@@ -36,8 +37,8 @@ pub use disturbance::{Disturbance, DisturbanceConfig, DisturbanceKind, Disturban
 pub use population::{PopulationError, VantagePopulation};
 pub use probe::{probe_site, ProbeContext, ProbeFaults, ProbeOutcome, ProbeXlat};
 pub use round::{
-    check_population_stamp, checkpoint_path, population_hash, run_campaign, run_campaign_resumable,
-    run_ipv6_day_rounds, validate_checkpoint_dir, CampaignConfig, CampaignError, ConfigError,
-    RoundError,
+    check_population_stamp, checkpoint_path, open_round_log, population_hash, run_campaign,
+    run_campaign_resumable, run_ipv6_day_rounds, validate_checkpoint_dir, CampaignConfig,
+    CampaignError, ConfigError, RoundError,
 };
 pub use vantage::{VantageCountError, VantageKind, VantagePoint};

@@ -15,12 +15,13 @@
 //! mid-round loses only the in-flight probes (recorded as a
 //! [`RoundError`], the round's partial results kept), an injected vantage
 //! outage skips whole rounds (recorded in
-//! [`MonitorDb::outage_weeks`]), and with a checkpoint directory the
-//! database is snapshotted after every round so
-//! [`run_campaign_resumable`] can pick up where a crashed or
-//! powered-down vantage point left off.
+//! [`MonitorDb::outage_weeks`]), and with a checkpoint directory every
+//! completed round is appended to the vantage point's round log
+//! ([`crate::durable`]) so [`run_campaign_resumable`] can replay it and
+//! pick up where a crashed or powered-down vantage point left off.
 
 use crate::db::MonitorDb;
+use crate::durable::{write_atomic, LoggedRound, Recovery, RoundLog};
 use crate::probe::{probe_site, ProbeContext, ProbeOutcome};
 use crate::vantage::VantagePoint;
 use ipv6web_alexa::{MonitoredSet, TopList};
@@ -101,7 +102,7 @@ pub enum ConfigError {
         parent: PathBuf,
     },
     /// The checkpoint path (or its parent) exists but is not a directory,
-    /// so every atomic temp+rename checkpoint write would fail mid-run.
+    /// so every checkpoint write would fail mid-run.
     CheckpointDirNotADirectory {
         /// The offending path.
         path: PathBuf,
@@ -136,8 +137,8 @@ impl std::error::Error for ConfigError {}
 /// or be creatable as a single new directory under an existing parent.
 ///
 /// `repro --checkpoint-dir` used to accept any string and only fail
-/// minutes later, when the first atomic temp+rename checkpoint write hit
-/// the bad path; callers now get a typed [`ConfigError`] immediately.
+/// minutes later, when the first checkpoint write hit the bad path;
+/// callers now get a typed [`ConfigError`] immediately.
 pub fn validate_checkpoint_dir(dir: &Path) -> Result<(), ConfigError> {
     if dir.exists() {
         if dir.is_dir() {
@@ -170,12 +171,24 @@ pub fn validate_checkpoint_dir(dir: &Path) -> Result<(), ConfigError> {
 pub enum CampaignError {
     /// The configuration failed [`CampaignConfig::validate`].
     Config(ConfigError),
-    /// A per-round checkpoint could not be written.
+    /// A round log (or the population stamp) could not be read or written.
     Checkpoint {
-        /// The snapshot path that failed.
+        /// The file that failed.
         path: PathBuf,
         /// The underlying I/O error.
         source: std::io::Error,
+    },
+    /// The checkpoint directory holds a JSON snapshot from before round
+    /// logs existed. It is not read; resume into a fresh directory.
+    LegacyCheckpoint {
+        /// The legacy snapshot.
+        path: PathBuf,
+    },
+    /// A resume database was passed together with a checkpoint directory,
+    /// whose round log is the resume point.
+    ResumeConflict {
+        /// The round log.
+        path: PathBuf,
     },
     /// The checkpoint directory was stamped by a study with a different
     /// vantage population; resuming would silently misattribute rounds.
@@ -200,6 +213,17 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Checkpoint { path, source } => {
                 write!(f, "checkpoint {} failed: {source}", path.display())
             }
+            CampaignError::LegacyCheckpoint { path } => write!(
+                f,
+                "{} is a JSON checkpoint from an older version; round logs replaced it — \
+                 use a fresh --checkpoint-dir",
+                path.display()
+            ),
+            CampaignError::ResumeConflict { path } => write!(
+                f,
+                "a resume database was given alongside the round log {}; resume from one",
+                path.display()
+            ),
             CampaignError::PopulationMismatch {
                 path,
                 stamped_count,
@@ -225,7 +249,9 @@ impl std::error::Error for CampaignError {
         match self {
             CampaignError::Config(e) => Some(e),
             CampaignError::Checkpoint { source, .. } => Some(source),
-            CampaignError::PopulationMismatch { .. } => None,
+            CampaignError::PopulationMismatch { .. }
+            | CampaignError::LegacyCheckpoint { .. }
+            | CampaignError::ResumeConflict { .. } => None,
         }
     }
 }
@@ -244,6 +270,30 @@ pub struct RoundError {
     pub week: u32,
     /// Probes whose outcome never arrived.
     pub lost_probes: usize,
+}
+
+/// Applies one probed round to the database: `(site, added_week,
+/// outcome)` entries in site order, then the lost-probe count. The live
+/// campaign and the round-log replay both go through here, so a replayed
+/// database has the same record arena as the one that was logged.
+fn apply_round(
+    db: &mut MonitorDb,
+    week: u32,
+    lost: usize,
+    entries: impl IntoIterator<Item = (SiteId, u32, ProbeOutcome)>,
+) {
+    for (site, added_week, outcome) in entries {
+        apply_outcome(db, site, added_week, week, outcome);
+    }
+    if lost > 0 {
+        db.round_errors.push(RoundError { week, lost_probes: lost });
+    }
+}
+
+/// Records a week the vantage point was down as done.
+fn apply_outage(db: &mut MonitorDb, week: u32) {
+    db.outage_weeks.push(week);
+    db.completed_weeks = week + 1;
 }
 
 /// Applies one probe outcome to the database.
@@ -392,31 +442,61 @@ fn run_pool(
     (out, lost)
 }
 
-/// Appends a degraded round to the database and the metrics stream.
-fn note_lost(db: &mut MonitorDb, week: u32, lost: usize) {
+/// Counts a degraded round on the metrics stream (live rounds only; a
+/// replayed round was counted when it ran).
+fn note_lost(lost: usize) {
     if lost > 0 {
         ipv6web_obs::inc("monitor.degraded_rounds");
         ipv6web_obs::add("monitor.lost_probes", lost as u64);
-        db.round_errors.push(RoundError { week, lost_probes: lost });
     }
 }
 
-/// Writes the per-round checkpoint, if a checkpoint directory was given.
-/// The checkpoint file a vantage point's campaign writes under `dir`:
-/// the vantage name lowercased with non-alphanumerics mapped to `_`,
-/// plus `.json`.
-pub fn checkpoint_path(dir: &Path, vantage: &str) -> std::path::PathBuf {
-    let slug: String = vantage
+/// A vantage name as a file-name stem: lowercased, non-alphanumerics
+/// mapped to `_`.
+fn slug(vantage: &str) -> String {
+    vantage
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
-        .collect();
-    dir.join(format!("{slug}.json"))
+        .collect()
 }
 
-fn checkpoint(db: &MonitorDb, dir: Option<&Path>) -> Result<(), CampaignError> {
-    let Some(dir) = dir else { return Ok(()) };
-    let path = checkpoint_path(dir, &db.vantage);
-    db.save_json(&path).map_err(|source| CampaignError::Checkpoint { path, source })
+/// The round log a vantage point's campaign appends to under `dir`:
+/// `<slug>.log` (see [`crate::durable`] for the format).
+pub fn checkpoint_path(dir: &Path, vantage: &str) -> PathBuf {
+    dir.join(format!("{}.log", slug(vantage)))
+}
+
+/// Opens (creating if absent) the round log of `vantage` under `dir` and
+/// replays it into a database, exactly as the logged rounds built it.
+/// `n_sites` bounds the site ids a log may name. A torn tail is truncated;
+/// a log damaged mid-file is quarantined and the database starts empty,
+/// so the campaign re-probes from its start week. A legacy JSON snapshot
+/// for the vantage is refused with [`CampaignError::LegacyCheckpoint`].
+pub fn open_round_log(
+    dir: &Path,
+    vantage: &str,
+    n_sites: usize,
+) -> Result<(MonitorDb, RoundLog, Recovery), CampaignError> {
+    let legacy = dir.join(format!("{}.json", slug(vantage)));
+    if legacy.exists() {
+        return Err(CampaignError::LegacyCheckpoint { path: legacy });
+    }
+    let path = checkpoint_path(dir, vantage);
+    let mut db = MonitorDb::new(vantage);
+    let opened = RoundLog::open(&path, vantage, n_sites, |round| match round {
+        LoggedRound::Outage { week } => apply_outage(&mut db, week),
+        LoggedRound::Probed { week, lost, entries } => {
+            apply_round(&mut db, week, lost, entries);
+            db.completed_weeks = week + 1;
+        }
+    });
+    let (log, recovery) = opened.map_err(|source| CampaignError::Checkpoint { path, source })?;
+    Ok((db, log, recovery))
+}
+
+/// Wraps a round-log write error with the log's path.
+fn log_err(log: &RoundLog) -> impl FnOnce(std::io::Error) -> CampaignError + '_ {
+    |source| CampaignError::Checkpoint { path: log.path().to_path_buf(), source }
 }
 
 /// FNV-1a hash over the serialized vantage list — the identity a checkpoint
@@ -424,12 +504,7 @@ fn checkpoint(db: &MonitorDb, dir: Option<&Path>) -> Result<(), CampaignError> {
 /// weeks, and client stacks, so any population change flips it.
 pub fn population_hash(vantages: &[VantagePoint]) -> u64 {
     let json = serde_json::to_string(&vantages.to_vec()).expect("vantages serialize");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in json.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::durable::fnv1a64(json.as_bytes())
 }
 
 /// On-disk population stamp (`population.stamp.json` inside the
@@ -476,14 +551,10 @@ pub fn check_population_stamp(dir: &Path, vantages: &[VantagePoint]) -> Result<(
             Ok(())
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            // atomic temp + rename, same discipline as checkpoints
-            let tmp = path.with_extension("json.tmp");
-            let write = || -> std::io::Result<()> {
-                let stamp = PopulationStamp { count, hash };
-                std::fs::write(&tmp, serde_json::to_string(&stamp).expect("stamp serializes"))?;
-                std::fs::rename(&tmp, &path)
-            };
-            write().map_err(|source| CampaignError::Checkpoint { path, source })
+            let stamp =
+                serde_json::to_string(&PopulationStamp { count, hash }).expect("stamp serializes");
+            write_atomic(&path, stamp.as_bytes())
+                .map_err(|source| CampaignError::Checkpoint { path, source })
         }
         Err(source) => Err(CampaignError::Checkpoint { path, source }),
     }
@@ -507,9 +578,12 @@ pub fn run_campaign(
 }
 
 /// [`run_campaign`] with crash recovery: `resume` continues a previous
-/// partial run (its [`MonitorDb::completed_weeks`] rounds are skipped
-/// without re-probing), and `checkpoint_dir` snapshots the database after
-/// every round so the next invocation can resume from it.
+/// partial run held in memory (its [`MonitorDb::completed_weeks`] rounds
+/// are skipped without re-probing). With `checkpoint_dir` the campaign
+/// instead resumes from the vantage point's round log there
+/// ([`open_round_log`]) and appends every round it completes, so the next
+/// invocation can resume from it; passing both is a
+/// [`CampaignError::ResumeConflict`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_resumable(
     ctx: &ProbeContext<'_>,
@@ -523,7 +597,16 @@ pub fn run_campaign_resumable(
 ) -> Result<MonitorDb, CampaignError> {
     cfg.validate()?;
     let workers = cfg.workers;
-    let mut db = resume.unwrap_or_else(|| MonitorDb::new(vantage.name.clone()));
+    let (mut db, mut log) = match checkpoint_dir {
+        None => (resume.unwrap_or_else(|| MonitorDb::new(vantage.name.clone())), None),
+        Some(dir) if resume.is_some() => {
+            return Err(CampaignError::ResumeConflict { path: checkpoint_path(dir, &vantage.name) })
+        }
+        Some(dir) => {
+            let (db, log, _) = open_round_log(dir, &vantage.name, ctx.sites.len())?;
+            (db, Some(log))
+        }
+    };
     let resume_from = db.completed_weeks.max(vantage.start_week);
     let mut monitored = MonitoredSet::new();
     for week in vantage.start_week..cfg.total_weeks {
@@ -535,9 +618,10 @@ pub fn run_campaign_resumable(
             if pf.injector.vantage_out(&vantage.name, week) {
                 if week >= resume_from {
                     ipv6web_faults::record_injection("faults.injected.vantage_outage");
-                    db.outage_weeks.push(week);
-                    db.completed_weeks = week + 1;
-                    checkpoint(&db, checkpoint_dir)?;
+                    apply_outage(&mut db, week);
+                    if let Some(log) = &mut log {
+                        log.append_outage(week).map_err(log_err(log))?;
+                    }
                 }
                 continue;
             }
@@ -556,13 +640,14 @@ pub fn run_campaign_resumable(
         order.shuffle(&mut rng);
 
         let (results, lost) = run_pool(ctx, &order, week, 0, false, workers);
-        for (site, outcome) in results {
-            let added = monitored.added_week(site.0).unwrap_or(week);
-            apply_outcome(&mut db, site, added, week, outcome);
+        let added = |site: SiteId| monitored.added_week(site.0).unwrap_or(week);
+        if let Some(log) = &mut log {
+            let entries = results.iter().map(|(s, o)| (*s, added(*s), o));
+            log.append_probed(week, lost, entries).map_err(log_err(log))?;
         }
-        note_lost(&mut db, week, lost);
+        note_lost(lost);
+        apply_round(&mut db, week, lost, results.into_iter().map(|(s, o)| (s, added(s), o)));
         db.completed_weeks = week + 1;
-        checkpoint(&db, checkpoint_dir)?;
     }
     Ok(db)
 }
@@ -581,10 +666,13 @@ pub fn run_ipv6_day_rounds(
     let mut db = MonitorDb::new(format!("{} (IPv6 Day)", vantage.name));
     for round in 0..cfg.ipv6_day_rounds {
         let (results, lost) = run_pool(ctx, participants, event_week, round + 1, true, cfg.workers);
-        for (site, outcome) in results {
-            apply_outcome(&mut db, site, event_week, event_week, outcome);
-        }
-        note_lost(&mut db, event_week, lost);
+        note_lost(lost);
+        apply_round(
+            &mut db,
+            event_week,
+            lost,
+            results.into_iter().map(|(s, o)| (s, event_week, o)),
+        );
     }
     Ok(db)
 }
@@ -886,12 +974,189 @@ mod tests {
         cfg.total_weeks = 3;
         let dir = std::env::temp_dir().join("ipv6web-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
+        std::fs::remove_file(dir.join("testvp.log")).ok();
         let db =
             run_campaign_resumable(&c, &w.vantage, &w.list, &[], |_| 0, &cfg, None, Some(&dir))
                 .unwrap();
-        let snap = MonitorDb::load_json(dir.join("testvp.json")).unwrap();
-        assert_eq!(snap, db, "final checkpoint equals the returned database");
+        let (snap, _, recovery) = open_round_log(&dir, "TestVP", w.sites.len()).unwrap();
+        assert_eq!(recovery, Recovery::Clean { frames: 3 }, "one frame per round");
+        assert_eq!(snap, db, "replaying the log gives the returned database");
+        // a resume database alongside the log is refused, not silently dropped
+        let err =
+            run_campaign_resumable(&c, &w.vantage, &w.list, &[], |_| 0, &cfg, Some(db), Some(&dir))
+                .unwrap_err();
+        assert!(matches!(err, CampaignError::ResumeConflict { .. }), "got {err}");
+        // a JSON snapshot from before round logs is a typed error, never read
+        std::fs::write(dir.join("testvp.json"), b"{}").unwrap();
+        let err = open_round_log(&dir, "TestVP", w.sites.len()).unwrap_err();
+        assert!(matches!(err, CampaignError::LegacyCheckpoint { .. }), "got {err}");
         std::fs::remove_file(dir.join("testvp.json")).ok();
+        std::fs::remove_file(dir.join("testvp.log")).ok();
+    }
+
+    /// Byte offsets where each frame of a round log starts, plus the end.
+    fn frame_starts(bytes: &[u8], vantage: &str) -> Vec<usize> {
+        let mut at = crate::durable::log_header(vantage).len();
+        let mut starts = vec![at];
+        while let Ok((_, n)) = crate::durable::parse_frame(&bytes[at..], usize::MAX) {
+            at += n;
+            starts.push(at);
+        }
+        assert_eq!(at, bytes.len(), "a finished log is all good frames");
+        starts
+    }
+
+    /// A clean checkpointed campaign: its database and its log's bytes.
+    fn logged_campaign(
+        c: &ProbeContext<'_>,
+        w: &World,
+        cfg: &CampaignConfig,
+        dir: &Path,
+    ) -> (MonitorDb, Vec<u8>) {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        let db = run_campaign_resumable(c, &w.vantage, &w.list, &[], |_| 0, cfg, None, Some(dir))
+            .unwrap();
+        (db, std::fs::read(checkpoint_path(dir, "TestVP")).unwrap())
+    }
+
+    #[test]
+    fn torn_last_frame_resumes_identically_at_every_offset() {
+        let w = world(40);
+        let c = ctx(&w);
+        let mut cfg = CampaignConfig::test_small();
+        cfg.total_weeks = 3;
+        cfg.workers = 1;
+        let base = std::env::temp_dir().join(format!("ipv6web-torn-{}", std::process::id()));
+        let (clean, log) = logged_campaign(&c, &w, &cfg, &base.join("clean"));
+        let starts = frame_starts(&log, "TestVP");
+        let last = starts[starts.len() - 2];
+        let dir = base.join("torn");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = checkpoint_path(&dir, "TestVP");
+        for cut in last..log.len() {
+            std::fs::write(&path, &log[..cut]).unwrap();
+            let (_, _, recovery) = open_round_log(&dir, "TestVP", w.sites.len()).unwrap();
+            let frames = starts.len() - 2;
+            let want = if cut == last {
+                Recovery::Clean { frames }
+            } else {
+                Recovery::TruncatedTail { frames, dropped_bytes: (cut - last) as u64 }
+            };
+            assert_eq!(recovery, want, "cut at {cut}");
+            std::fs::write(&path, &log[..cut]).unwrap();
+            let db =
+                run_campaign_resumable(&c, &w.vantage, &w.list, &[], |_| 0, &cfg, None, Some(&dir))
+                    .unwrap();
+            assert_eq!(db, clean, "cut at {cut}: resume must match the clean run");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                log,
+                "cut at {cut}: log re-grows identically"
+            );
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn damaged_middle_frame_is_quarantined_and_reprobed() {
+        use proptest::prelude::*;
+        let w = world(40);
+        let c = ctx(&w);
+        let mut cfg = CampaignConfig::test_small();
+        cfg.total_weeks = 3;
+        let base = std::env::temp_dir().join(format!("ipv6web-flip-{}", std::process::id()));
+        let (clean, log) = logged_campaign(&c, &w, &cfg, &base.join("clean"));
+        let starts = frame_starts(&log, "TestVP");
+        // the bytes of every frame but the last (length prefix excluded: a
+        // damaged length reads as a torn tail, which the next test covers)
+        let body = starts[0] + 4..starts[starts.len() - 2];
+        let dir = base.join("flipped");
+        let path = checkpoint_path(&dir, "TestVP");
+        let cfg16 = ProptestConfig::with_cases(16);
+        proptest::test_runner::run(
+            cfg16,
+            file!(),
+            "damaged_middle_frame",
+            &(body, 0u8..8),
+            |(at, bit)| {
+                if starts.iter().any(|&s| (s..s + 4).contains(&at)) {
+                    return Ok(());
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+                std::fs::create_dir_all(&dir).unwrap();
+                let mut bytes = log.clone();
+                bytes[at] ^= 1 << bit;
+                std::fs::write(&path, &bytes).unwrap();
+                let (db, _, recovery) = open_round_log(&dir, "TestVP", w.sites.len()).unwrap();
+                let corrupt = dir.join("testvp.log.corrupt");
+                prop_assert_eq!(recovery, Recovery::Quarantined { corrupt: corrupt.clone() });
+                prop_assert!(db.is_empty() && db.completed_weeks == 0);
+                prop_assert_eq!(std::fs::read(&corrupt).unwrap(), bytes);
+                // open_round_log started a fresh log: the campaign re-probes
+                std::fs::write(&path, &bytes).unwrap();
+                let resumed = run_campaign_resumable(
+                    &c,
+                    &w.vantage,
+                    &w.list,
+                    &[],
+                    |_| 0,
+                    &cfg,
+                    None,
+                    Some(&dir),
+                )
+                .unwrap();
+                prop_assert_eq!(&resumed, &clean);
+                prop_assert_eq!(std::fs::read(&path).unwrap(), log.clone());
+                Ok(())
+            },
+        );
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn any_single_bit_flip_resumes_identically() {
+        // whatever a flip hits — header, a length prefix, a payload, a
+        // checksum — resume either quarantines or truncates, never panics,
+        // and the finished database is the clean one
+        use proptest::prelude::*;
+        let w = world(30);
+        let c = ctx(&w);
+        let mut cfg = CampaignConfig::test_small();
+        cfg.total_weeks = 3;
+        let base = std::env::temp_dir().join(format!("ipv6web-anyflip-{}", std::process::id()));
+        let (clean, log) = logged_campaign(&c, &w, &cfg, &base.join("clean"));
+        let dir = base.join("flipped");
+        let path = checkpoint_path(&dir, "TestVP");
+        let cfg24 = ProptestConfig::with_cases(24);
+        proptest::test_runner::run(
+            cfg24,
+            file!(),
+            "any_bit_flip",
+            &(0..log.len(), 0u8..8),
+            |(at, bit)| {
+                let _ = std::fs::remove_dir_all(&dir);
+                std::fs::create_dir_all(&dir).unwrap();
+                let mut bytes = log.clone();
+                bytes[at] ^= 1 << bit;
+                std::fs::write(&path, &bytes).unwrap();
+                let resumed = run_campaign_resumable(
+                    &c,
+                    &w.vantage,
+                    &w.list,
+                    &[],
+                    |_| 0,
+                    &cfg,
+                    None,
+                    Some(&dir),
+                )
+                .unwrap();
+                prop_assert_eq!(&resumed, &clean);
+                prop_assert_eq!(std::fs::read(&path).unwrap(), log.clone());
+                Ok(())
+            },
+        );
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -178,15 +178,18 @@ pub struct Timings {
 }
 
 impl Timings {
-    /// Sum of all top-level (depth 0) phases, in seconds. Nested spans are
-    /// excluded so wrapped phases are not double-counted.
+    /// Sum of all top-level (depth 0) phases, in seconds: task-seconds,
+    /// not wall time. Nested spans are excluded so wrapped phases are not
+    /// double-counted, but top-level phases that ran concurrently (the
+    /// vantage-parallel campaigns) each count in full, so under parallel
+    /// execution this exceeds the wall clock.
     pub fn total_seconds(&self) -> f64 {
         self.phases.iter().filter(|p| p.depth == 0).map(|p| p.seconds).sum()
     }
 
     /// Renders the aligned text block `repro` prints. Nested spans indent
-    /// under their parents; a depth-0-only log renders exactly like the
-    /// old `StudyTimings` output.
+    /// under their parents; the closing `task-seconds` line is
+    /// [`Self::total_seconds`].
     pub fn render(&self) -> String {
         let width = self
             .phases
@@ -194,13 +197,13 @@ impl Timings {
             .map(|p| p.name.len() + 2 * p.depth as usize)
             .max()
             .unwrap_or(0)
-            .max(5);
+            .max("task-seconds".len());
         let mut out = String::from("Study phase timings (wall clock):\n");
         for p in &self.phases {
             let indented = format!("{}{}", "  ".repeat(p.depth as usize), p.name);
             out.push_str(&format!("  {indented:<width$}  {:>8.3}s\n", p.seconds));
         }
-        out.push_str(&format!("  {:<width$}  {:>8.3}s\n", "total", self.total_seconds()));
+        out.push_str(&format!("  {:<width$}  {:>8.3}s\n", "task-seconds", self.total_seconds()));
         out
     }
 }
@@ -300,7 +303,8 @@ mod tests {
         assert!(rendered.starts_with("Study phase timings (wall clock):\n"));
         assert!(rendered.contains("  parent"));
         assert!(rendered.contains("    child"), "nested spans indent");
-        assert!(rendered.contains("total"));
+        assert!(rendered.contains("task-seconds"));
+        assert!(!rendered.contains("total"), "the sum is not labelled a total");
     }
 
     #[test]

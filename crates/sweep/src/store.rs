@@ -21,6 +21,7 @@
 
 use crate::aggregate::render_summary;
 use crate::record::{StudyRecord, StudyStatus, SWEEP_SCHEMA};
+use ipv6web_core::durable::{quarantine, write_atomic};
 use serde::Serialize;
 use serde_json::Value;
 use std::io;
@@ -80,31 +81,17 @@ impl ResultStore {
         self.dir.join("summary.txt")
     }
 
-    /// Atomically writes `bytes` to `path` via a `.tmp` sibling + rename.
-    /// The temp name carries the writer's pid: several processes (a
-    /// re-spawned worker racing an orphan from before an orchestrator
-    /// kill) may finish the same case, and their writes must not tear
-    /// each other. Both write identical bytes, so whoever renames last
-    /// changes nothing.
-    fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".{}.tmp", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)
-    }
-
     /// Persists a record (atomic; overwrites any previous version).
     pub fn save(&self, record: &StudyRecord) -> io::Result<()> {
         let json = serde_json::to_string_pretty(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Self::write_atomic(&self.record_path(&record.key), json.as_bytes())
+        write_atomic(&self.record_path(&record.key), json.as_bytes())
     }
 
     /// Bumps a heartbeat file to `count` (atomic, pid-suffixed temp: an
     /// orphaned predecessor writing the same file cannot tear it).
     pub fn beat(&self, key: &str, count: u64) -> io::Result<()> {
-        Self::write_atomic(&self.heartbeat_path(key), count.to_string().as_bytes())
+        write_atomic(&self.heartbeat_path(key), count.to_string().as_bytes())
     }
 
     /// Reads a heartbeat counter; `None` when absent or torn.
@@ -138,14 +125,7 @@ impl ResultStore {
                 .filter(|rec| format!("study-{}.json", rec.key) == name);
             match parsed {
                 Some(rec) => out.records.push(rec),
-                None => {
-                    let mut corrupt = path.as_os_str().to_owned();
-                    corrupt.push(".corrupt");
-                    let corrupt = PathBuf::from(corrupt);
-                    std::fs::rename(&path, &corrupt)?;
-                    ipv6web_obs::inc("store.quarantined");
-                    out.quarantined.push(corrupt);
-                }
+                None => out.quarantined.push(quarantine(&path)?),
             }
         }
         out.records.sort_by_key(|r| r.index);
@@ -159,9 +139,9 @@ impl ResultStore {
         let mut sorted: Vec<&StudyRecord> = records.iter().collect();
         sorted.sort_by_key(|r| r.index);
         let results = merged_results_json(&sorted);
-        Self::write_atomic(&self.results_path(), results.as_bytes())?;
+        write_atomic(&self.results_path(), results.as_bytes())?;
         let summary = render_summary(&sorted);
-        Self::write_atomic(&self.summary_path(), summary.as_bytes())
+        write_atomic(&self.summary_path(), summary.as_bytes())
     }
 }
 

@@ -178,6 +178,72 @@ fn staggered_checkpoints_resume_to_identical_report() {
 }
 
 #[test]
+fn torn_and_damaged_round_logs_resume_to_identical_report() {
+    // A kill mid-append leaves a vantage's round log ending in part of a
+    // frame; disk damage can flip a bit in an earlier one. Resume truncates
+    // the first and quarantines the second — either way the report and
+    // every database must come out exactly as in an uninterrupted run.
+    use ipv6web::monitor::checkpoint_path;
+    use ipv6web::monitor::durable::{log_header, parse_frame};
+    use proptest::prelude::*;
+
+    let _g = ENV_LOCK.lock().unwrap();
+    let mut s = tiny(23);
+    let base = std::env::temp_dir().join(format!("ipv6web-torn-logs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let clean_dir = base.join("clean");
+    s.checkpoint_dir = Some(clean_dir.to_string_lossy().into_owned());
+    let clean = run_study(&s).expect("valid scenario");
+    let clean_json = serde_json::to_string(&clean.report).unwrap();
+    let names: Vec<String> = clean.world.vantages.iter().map(|v| v.name.clone()).collect();
+
+    let dir = base.join("resumed");
+    s.checkpoint_dir = Some(dir.to_string_lossy().into_owned());
+    // (vantage, which frame to damage, cut or bit offset within it, flip?)
+    let cases = (0..names.len(), 0usize..1000, 0usize..1_000_000, any::<bool>());
+    let cfg = ProptestConfig::with_cases(12);
+    let mut seen = [0usize; 2];
+    proptest::test_runner::run(cfg, file!(), "torn_logs", &cases, |(v, pick, off, flip)| {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&clean_dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+        let path = checkpoint_path(&dir, &names[v]);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mut starts = vec![log_header(&names[v]).len()];
+        while let Ok((_, n)) = parse_frame(&bytes[*starts.last().unwrap()..], usize::MAX) {
+            starts.push(starts.last().unwrap() + n);
+        }
+        prop_assume!(starts.len() >= 3);
+        let frames = starts.len() - 1;
+        if flip {
+            // a payload byte of any frame but the last
+            let k = pick % (frames - 1);
+            let at = starts[k] + 4 + off % (starts[k + 1] - starts[k] - 4);
+            bytes[at] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+        } else {
+            // somewhere inside the last frame
+            let last = starts[frames - 1];
+            bytes.truncate(last + off % (bytes.len() - last));
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let resumed = run_study(&s).expect("valid scenario");
+        prop_assert_eq!(serde_json::to_string(&resumed.report).unwrap(), clean_json.clone());
+        prop_assert_eq!(&resumed.dbs, &clean.dbs);
+        let corrupt = path.with_extension("log.corrupt");
+        prop_assert_eq!(corrupt.exists(), flip);
+        seen[usize::from(flip)] += 1;
+        Ok(())
+    });
+    assert!(seen.iter().all(|&n| n > 0), "both torn tails and damage exercised: {seen:?}");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
 fn worker_count_does_not_change_results() {
     let mut s1 = tiny(3);
     s1.campaign.workers = 1;
