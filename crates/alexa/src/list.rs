@@ -1,7 +1,6 @@
 //! Ranked list snapshots and the accumulate-only monitored set.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A ranked site list with churn: every site has a rank and the week it
 /// first enters the list. Site identities are `u32` indices into whatever
@@ -53,6 +52,12 @@ impl TopList {
         present.into_iter().map(|e| e.id).collect()
     }
 
+    /// Ids present in the list snapshot of `week`, in list order rather
+    /// than by rank: the snapshot as a set, without its sort.
+    pub fn present(&self, week: u32) -> impl Iterator<Item = u32> + '_ {
+        self.entries.iter().filter(move |e| e.first_seen_week <= week).map(|e| e.id)
+    }
+
     /// Ids in the top-`k` of the `week` snapshot (Fig 3a's rank buckets).
     pub fn top_k(&self, week: u32, k: usize) -> Vec<u32> {
         let mut s = self.snapshot(week);
@@ -68,10 +73,17 @@ impl TopList {
 
 /// The accumulate-only monitored set: "new sites … are added to the
 /// monitoring list and tracked from this point onward" (Section 3).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Dense over site ids: slot `id` holds the week the site was added, so
+/// ingest and lookup are O(1) and members come out ascending.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MonitoredSet {
-    added_week: BTreeMap<u32, u32>,
+    added_week: Vec<u32>,
+    len: usize,
 }
+
+/// Slot value of an id that is not monitored.
+const ABSENT: u32 = u32::MAX;
 
 impl MonitoredSet {
     /// Empty set.
@@ -83,35 +95,41 @@ impl MonitoredSet {
     /// seen before are added with `week` as their addition week. Returns
     /// how many were new.
     pub fn ingest(&mut self, week: u32, ids: impl IntoIterator<Item = u32>) -> usize {
+        debug_assert!(week != ABSENT, "week {week} is the absent marker");
         let mut added = 0;
         for id in ids {
-            if let std::collections::btree_map::Entry::Vacant(e) = self.added_week.entry(id) {
-                e.insert(week);
+            let i = id as usize;
+            if i >= self.added_week.len() {
+                self.added_week.resize(i + 1, ABSENT);
+            }
+            if self.added_week[i] == ABSENT {
+                self.added_week[i] = week;
                 added += 1;
             }
         }
+        self.len += added;
         ipv6web_obs::add("alexa.sites_ingested", added as u64);
         added
     }
 
     /// All monitored ids (ascending).
     pub fn members(&self) -> impl Iterator<Item = u32> + '_ {
-        self.added_week.keys().copied()
+        self.added_week.iter().enumerate().filter(|(_, &w)| w != ABSENT).map(|(id, _)| id as u32)
     }
 
     /// Week a site was added, if monitored.
     pub fn added_week(&self, id: u32) -> Option<u32> {
-        self.added_week.get(&id).copied()
+        self.added_week.get(id as usize).copied().filter(|&w| w != ABSENT)
     }
 
     /// Number of monitored sites.
     pub fn len(&self) -> usize {
-        self.added_week.len()
+        self.len
     }
 
     /// True when nothing is monitored yet.
     pub fn is_empty(&self) -> bool {
-        self.added_week.is_empty()
+        self.len == 0
     }
 }
 
@@ -135,6 +153,18 @@ mod tests {
         assert_eq!(l.snapshot(0), vec![0, 1, 3]);
         assert_eq!(l.snapshot(5), vec![0, 1, 2, 3]);
         assert_eq!(l.snapshot(30), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn present_is_the_snapshot_as_a_set() {
+        let l = list();
+        for week in [0, 5, 19, 20, 30] {
+            let mut ids: Vec<u32> = l.present(week).collect();
+            ids.sort_unstable();
+            let mut snap = l.snapshot(week);
+            snap.sort_unstable();
+            assert_eq!(ids, snap, "week {week}");
+        }
     }
 
     #[test]
@@ -197,5 +227,46 @@ mod tests {
         let mut m = MonitoredSet::new();
         m.ingest(0, vec![5, 1, 9]);
         assert_eq!(m.members().collect::<Vec<_>>(), vec![1, 5, 9]);
+    }
+
+    #[test]
+    fn ingest_counts_only_new_ids() {
+        let mut m = MonitoredSet::new();
+        // duplicates within one batch count once
+        assert_eq!(m.ingest(0, vec![3, 3, 1]), 2);
+        assert_eq!(m.ingest(1, vec![1, 2, 3, 4]), 2);
+        assert_eq!(m.ingest(2, Vec::new()), 0);
+        assert_eq!(m.len(), 4);
+        assert!(!m.is_empty());
+        assert!(MonitoredSet::new().is_empty());
+    }
+
+    #[test]
+    fn added_week_beyond_the_vector_is_none() {
+        let mut m = MonitoredSet::new();
+        assert_eq!(m.added_week(0), None);
+        m.ingest(2, vec![4]);
+        // below, at and beyond the dense vector's end
+        assert_eq!(m.added_week(3), None);
+        assert_eq!(m.added_week(4), Some(2));
+        assert_eq!(m.added_week(5), None);
+        assert_eq!(m.added_week(u32::MAX - 1), None);
+    }
+
+    #[test]
+    fn tail_ids_out_of_rank_order_keep_their_weeks() {
+        // Penn's DNS-cache tail arrives in no particular id order, after
+        // and between the ranked ids
+        let mut m = MonitoredSet::new();
+        m.ingest(0, vec![2, 0, 1]);
+        assert_eq!(m.ingest(3, vec![1009, 1002, 1005]), 3);
+        assert_eq!(m.ingest(4, vec![1003, 1002, 7]), 2);
+        assert_eq!(m.members().collect::<Vec<_>>(), vec![0, 1, 2, 7, 1002, 1003, 1005, 1009]);
+        assert_eq!(m.added_week(1009), Some(3));
+        assert_eq!(m.added_week(1002), Some(3));
+        assert_eq!(m.added_week(1003), Some(4));
+        assert_eq!(m.added_week(7), Some(4));
+        assert_eq!(m.added_week(1004), None);
+        assert_eq!(m.len(), 8);
     }
 }

@@ -171,15 +171,6 @@ fn probe_site_inner(
 ) -> ProbeOutcome {
     ipv6web_obs::inc("monitor.probes");
     let site = &ctx.sites[site_id.index()];
-    let mut rng = derive_rng_fmt(
-        ctx.seed,
-        format_args!("{}:probe:{}:{}:{}", ctx.vantage_name, week, salt, site_id.0),
-    );
-    // The query time within the week. Nothing reads it (the resolver keeps
-    // no cache that could expire), but dropping the draw would shift every
-    // later draw of this stream and change every report.
-    let _query_time_s: u64 = rng.gen_range(0..600_000);
-
     // --- phase 1: DNS ------------------------------------------------------
     let Ok(a) = resolve_through_faults(ctx, resolver, fs, site_id, RecordType::A, week, salt)
     else {
@@ -383,6 +374,17 @@ fn probe_site_inner(
     }
 
     // --- phase 3: confidence-driven performance sampling --------------------
+    // The probe's own stream is derived only here: probes that end earlier
+    // (v4-only, NXDOMAIN, unroutable, different content, faults) read no
+    // draw from it, so they derive nothing.
+    let mut rng = derive_rng_fmt(
+        ctx.seed,
+        format_args!("{}:probe:{}:{}:{}", ctx.vantage_name, week, salt, site_id.0),
+    );
+    // The query time within the week stays the stream's first draw. Nothing
+    // reads it (the resolver keeps no cache that could expire), but
+    // dropping it would shift every later draw and change every report.
+    let _query_time_s: u64 = rng.gen_range(0..600_000);
     let dp = DataPlane::new(ctx.topo);
     let shared_round_factor = lognormal(&mut rng, 1.0, ctx.round_noise_sigma);
     let disturbance_factor = ctx.disturbances.factor(site_id, week);

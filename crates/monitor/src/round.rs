@@ -359,11 +359,6 @@ fn apply_outcome(
     }
 }
 
-/// Runs one round's sites through the worker pool, returning `(site,
-/// outcome)` pairs sorted by site id so callers never observe completion
-/// order, plus the number of probes whose outcome never arrived (zero
-/// unless a worker died mid-round). `workers` must already be validated
-/// ([`CampaignConfig::validate`]).
 /// A v6-only monitor runs behind a DNS64 recursive; everything else keeps
 /// the plain resolver (and its byte-identical answer stream).
 fn resolver_for(ctx: &ProbeContext<'_>) -> Resolver {
@@ -374,14 +369,26 @@ fn resolver_for(ctx: &ProbeContext<'_>) -> Resolver {
     }
 }
 
+/// Runs one round's sites through the worker pool. `order` lists
+/// positions in `sites` in probe order; the outcome of `sites[i]` lands in
+/// slot `i`, so the result is in `sites` order whatever the completion
+/// order. An empty slot is a probe whose outcome never arrived (none
+/// unless a worker died mid-round); the second value counts them.
+/// `workers` must already be validated ([`CampaignConfig::validate`]).
 fn run_pool(
     ctx: &ProbeContext<'_>,
     sites: &[SiteId],
+    order: &[u32],
     week: u32,
     salt: u32,
     ipv6_day_mode: bool,
     workers: usize,
-) -> (Vec<(SiteId, ProbeOutcome)>, usize) {
+) -> (Vec<Option<ProbeOutcome>>, usize) {
+    debug_assert_eq!(sites.len(), order.len(), "order is a permutation of positions");
+    let mut slots: Vec<Option<ProbeOutcome>> = vec![None; sites.len()];
+    let probe = |resolver: &mut Resolver, pos: u32| {
+        probe_site(ctx, resolver, sites[pos as usize], week, salt, ipv6_day_mode)
+    };
     // Two-level budget: the configured pool width is additionally clamped
     // to this thread's share of the global IPV6WEB_THREADS budget, so a
     // vantage-parallel study (campaign fan-out × per-round pool) never
@@ -392,23 +399,21 @@ fn run_pool(
     ipv6web_obs::gauge_max("monitor.peak_workers", workers as u64);
     if workers == 1 {
         let mut resolver = resolver_for(ctx);
-        let mut out: Vec<(SiteId, ProbeOutcome)> = sites
-            .iter()
-            .map(|&s| (s, probe_site(ctx, &mut resolver, s, week, salt, ipv6_day_mode)))
-            .collect();
-        out.sort_by_key(|(s, _)| s.0);
-        return (out, 0);
+        for &pos in order {
+            slots[pos as usize] = Some(probe(&mut resolver, pos));
+        }
+        return (slots, 0);
     }
 
     // Both channels are bounded to the worker count: the feeder blocks once
     // every worker has a site in flight, and workers block once the drain
     // thread falls behind — memory stays O(workers), not O(sites).
-    let (work_tx, work_rx) = crossbeam::channel::bounded::<SiteId>(workers);
-    let (res_tx, res_rx) = crossbeam::channel::bounded::<(SiteId, ProbeOutcome)>(workers);
-    let mut out = std::thread::scope(|scope| {
+    let (work_tx, work_rx) = crossbeam::channel::bounded::<u32>(workers);
+    let (res_tx, res_rx) = crossbeam::channel::bounded::<(u32, ProbeOutcome)>(workers);
+    std::thread::scope(|scope| {
         scope.spawn(move || {
-            for &s in sites {
-                if work_tx.send(s).is_err() {
+            for &pos in order {
+                if work_tx.send(pos).is_err() {
                     break; // all workers gone (only possible on panic)
                 }
             }
@@ -421,9 +426,8 @@ fn run_pool(
                 // buffers), like each of the paper's monitoring threads
                 // resolving independently
                 let mut resolver = resolver_for(ctx);
-                while let Ok(site) = work_rx.recv() {
-                    let outcome = probe_site(ctx, &mut resolver, site, week, salt, ipv6_day_mode);
-                    if res_tx.send((site, outcome)).is_err() {
+                while let Ok(pos) = work_rx.recv() {
+                    if res_tx.send((pos, probe(&mut resolver, pos))).is_err() {
                         // drain side gone — stop probing, keep what arrived
                         break;
                     }
@@ -435,11 +439,22 @@ fn run_pool(
         }
         drop(res_tx);
         drop(work_rx);
-        res_rx.iter().collect::<Vec<_>>()
+        for (pos, outcome) in res_rx.iter() {
+            slots[pos as usize] = Some(outcome);
+        }
     });
-    out.sort_by_key(|(s, _)| s.0);
-    let lost = sites.len().saturating_sub(out.len());
-    (out, lost)
+    let lost = slots.iter().filter(|s| s.is_none()).count();
+    (slots, lost)
+}
+
+/// The probed entries of a round, in site order: `(site, added_week,
+/// outcome)` for every slot [`run_pool`] filled.
+fn probed<'r>(
+    sites: &'r [SiteId],
+    slots: &'r [Option<ProbeOutcome>],
+    added: impl Fn(SiteId) -> u32 + 'r,
+) -> impl Iterator<Item = (SiteId, u32, &'r ProbeOutcome)> + 'r {
+    sites.iter().zip(slots).filter_map(move |(&s, o)| o.as_ref().map(|o| (s, added(s), o)))
 }
 
 /// Counts a degraded round on the metrics stream (live rounds only; a
@@ -626,7 +641,7 @@ pub fn run_campaign_resumable(
                 continue;
             }
         }
-        monitored.ingest(week, list.snapshot(week));
+        monitored.ingest(week, list.present(week));
         if vantage.external_inputs {
             monitored
                 .ingest(week, extra_ids.iter().copied().filter(|&id| extra_first_seen(id) <= week));
@@ -634,19 +649,23 @@ pub fn run_campaign_resumable(
         if week < resume_from {
             continue; // already probed by the run being resumed
         }
-        // randomized order per round "to avoid time-of-day biases"
-        let mut order: Vec<SiteId> = monitored.members().map(SiteId).collect();
+        // randomized order per round "to avoid time-of-day biases": the
+        // shuffle permutes positions in the ascending member list (its
+        // draws depend only on the length), so results come back in site
+        // order without a sort
+        let members: Vec<SiteId> = monitored.members().map(SiteId).collect();
+        let mut order: Vec<u32> = (0..members.len() as u32).collect();
         let mut rng = derive_rng(ctx.seed, &format!("{}:order:{week}", vantage.name));
         order.shuffle(&mut rng);
 
-        let (results, lost) = run_pool(ctx, &order, week, 0, false, workers);
+        let (slots, lost) = run_pool(ctx, &members, &order, week, 0, false, workers);
         let added = |site: SiteId| monitored.added_week(site.0).unwrap_or(week);
         if let Some(log) = &mut log {
-            let entries = results.iter().map(|(s, o)| (*s, added(*s), o));
-            log.append_probed(week, lost, entries).map_err(log_err(log))?;
+            log.append_probed(week, lost, probed(&members, &slots, added)).map_err(log_err(log))?;
         }
         note_lost(lost);
-        apply_round(&mut db, week, lost, results.into_iter().map(|(s, o)| (s, added(s), o)));
+        let entries = probed(&members, &slots, added).map(|(s, w, o)| (s, w, o.clone()));
+        apply_round(&mut db, week, lost, entries);
         db.completed_weeks = week + 1;
     }
     Ok(db)
@@ -664,15 +683,13 @@ pub fn run_ipv6_day_rounds(
 ) -> Result<MonitorDb, CampaignError> {
     cfg.validate()?;
     let mut db = MonitorDb::new(format!("{} (IPv6 Day)", vantage.name));
+    let identity: Vec<u32> = (0..participants.len() as u32).collect();
     for round in 0..cfg.ipv6_day_rounds {
-        let (results, lost) = run_pool(ctx, participants, event_week, round + 1, true, cfg.workers);
+        let (slots, lost) =
+            run_pool(ctx, participants, &identity, event_week, round + 1, true, cfg.workers);
         note_lost(lost);
-        apply_round(
-            &mut db,
-            event_week,
-            lost,
-            results.into_iter().map(|(s, o)| (s, event_week, o)),
-        );
+        let entries = probed(participants, &slots, |_| event_week);
+        apply_round(&mut db, event_week, lost, entries.map(|(s, w, o)| (s, w, o.clone())));
     }
     Ok(db)
 }
@@ -1166,7 +1183,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let ids: Vec<ipv6web_topology::AsId> = (0..6).map(ipv6web_topology::AsId).collect();
-        let six = VantagePoint::paper_table1(&ids);
+        let six = VantagePoint::try_paper_table1(&ids).unwrap();
         // legacy dir without a stamp: accepted, stamped in place
         check_population_stamp(&dir, &six).unwrap();
         assert!(dir.join("population.stamp.json").exists());

@@ -102,15 +102,7 @@ impl VantagePoint {
     /// the generated topology, in the table's row order:
     /// Comcast, Go6, Loughborough, Penn, Tsinghua, UPCB.
     ///
-    /// # Panics
-    /// Panics unless exactly six AS ids are supplied; production callers
-    /// should use [`VantagePoint::try_paper_table1`].
-    pub fn paper_table1(as_ids: &[AsId]) -> Vec<VantagePoint> {
-        Self::try_paper_table1(as_ids).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`VantagePoint::paper_table1`]: returns a typed error
-    /// instead of panicking when the slice is not exactly six ASes long.
+    /// Returns a typed error when the slice is not exactly six ASes long.
     pub fn try_paper_table1(as_ids: &[AsId]) -> Result<Vec<VantagePoint>, VantageCountError> {
         if as_ids.len() != 6 {
             return Err(VantageCountError { expected: 6, found: as_ids.len() });
@@ -192,7 +184,7 @@ mod tests {
 
     #[test]
     fn table1_has_six_rows() {
-        let vps = VantagePoint::paper_table1(&ids());
+        let vps = VantagePoint::try_paper_table1(&ids()).unwrap();
         assert_eq!(vps.len(), 6);
         assert_eq!(vps[3].name, "Penn");
         assert_eq!(vps[3].start_week, 0, "Penn started before the window");
@@ -201,7 +193,7 @@ mod tests {
 
     #[test]
     fn as_path_subset_matches_table() {
-        let vps = VantagePoint::paper_table1(&ids());
+        let vps = VantagePoint::try_paper_table1(&ids()).unwrap();
         let with = VantagePoint::with_as_path(&vps);
         let names: Vec<&str> = with.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(names, ["Comcast", "Loughborough U.", "Penn", "UPC Broadband"]);
@@ -209,7 +201,7 @@ mod tests {
 
     #[test]
     fn only_upcb_is_white_listed() {
-        let vps = VantagePoint::paper_table1(&ids());
+        let vps = VantagePoint::try_paper_table1(&ids()).unwrap();
         let wl: Vec<&str> =
             vps.iter().filter(|v| v.white_listed).map(|v| v.name.as_str()).collect();
         assert_eq!(wl, ["UPC Broadband"]);
@@ -217,17 +209,11 @@ mod tests {
 
     #[test]
     fn kinds_match_table() {
-        let vps = VantagePoint::paper_table1(&ids());
+        let vps = VantagePoint::try_paper_table1(&ids()).unwrap();
         assert_eq!(vps[0].kind, VantageKind::Commercial);
         assert_eq!(vps[2].kind, VantageKind::Academic);
         assert_eq!(VantageKind::Academic.to_string(), "Acad.");
         assert_eq!(VantageKind::Commercial.to_string(), "Comml.");
-    }
-
-    #[test]
-    #[should_panic(expected = "six")]
-    fn wrong_as_count_panics() {
-        VantagePoint::paper_table1(&[AsId(1)]);
     }
 
     #[test]
@@ -240,7 +226,7 @@ mod tests {
 
     #[test]
     fn stack_serialized_only_when_not_dual() {
-        let mut vp = VantagePoint::paper_table1(&ids()).swap_remove(0);
+        let mut vp = VantagePoint::try_paper_table1(&ids()).unwrap().swap_remove(0);
         assert_eq!(vp.stack, ClientStack::DualStack);
         let json = serde_json::to_string(&vp).unwrap();
         assert!(!json.contains("stack"), "dual-stack must serialize as before: {json}");
