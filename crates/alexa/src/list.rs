@@ -44,25 +44,9 @@ impl TopList {
         self.entries.is_empty()
     }
 
-    /// Ids present in the list snapshot of `week`, best rank first.
-    pub fn snapshot(&self, week: u32) -> Vec<u32> {
-        let mut present: Vec<&ListEntry> =
-            self.entries.iter().filter(|e| e.first_seen_week <= week).collect();
-        present.sort_by_key(|e| (e.rank, e.id));
-        present.into_iter().map(|e| e.id).collect()
-    }
-
-    /// Ids present in the list snapshot of `week`, in list order rather
-    /// than by rank: the snapshot as a set, without its sort.
+    /// Ids present in the list snapshot of `week`, in list order.
     pub fn present(&self, week: u32) -> impl Iterator<Item = u32> + '_ {
         self.entries.iter().filter(move |e| e.first_seen_week <= week).map(|e| e.id)
-    }
-
-    /// Ids in the top-`k` of the `week` snapshot (Fig 3a's rank buckets).
-    pub fn top_k(&self, week: u32, k: usize) -> Vec<u32> {
-        let mut s = self.snapshot(week);
-        s.truncate(k);
-        s
     }
 
     /// Rank of a site, if it is in the list at all.
@@ -148,36 +132,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_respects_first_seen() {
+    fn present_respects_first_seen() {
         let l = list();
-        assert_eq!(l.snapshot(0), vec![0, 1, 3]);
-        assert_eq!(l.snapshot(5), vec![0, 1, 2, 3]);
-        assert_eq!(l.snapshot(30), vec![0, 1, 2, 3, 4]);
+        let present = |week| l.present(week).collect::<Vec<_>>();
+        assert_eq!(present(0), vec![0, 1, 3]);
+        assert_eq!(present(5), vec![0, 1, 2, 3]);
+        assert_eq!(present(19), vec![0, 1, 2, 3]);
+        assert_eq!(present(20), vec![0, 1, 2, 3, 4]);
+        assert_eq!(present(30), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn present_is_the_snapshot_as_a_set() {
-        let l = list();
-        for week in [0, 5, 19, 20, 30] {
-            let mut ids: Vec<u32> = l.present(week).collect();
-            ids.sort_unstable();
-            let mut snap = l.snapshot(week);
-            snap.sort_unstable();
-            assert_eq!(ids, snap, "week {week}");
-        }
-    }
-
-    #[test]
-    fn snapshot_ordered_by_rank() {
+    fn present_keeps_list_order() {
         let l = TopList::from_parts([(9, 3, 0), (7, 1, 0), (8, 2, 0)]);
-        assert_eq!(l.snapshot(0), vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn top_k_truncates() {
-        let l = list();
-        assert_eq!(l.top_k(30, 2), vec![0, 1]);
-        assert_eq!(l.top_k(30, 100).len(), 5);
+        assert_eq!(l.present(0).collect::<Vec<_>>(), vec![9, 7, 8]);
     }
 
     #[test]
@@ -197,12 +165,12 @@ mod tests {
     fn monitored_set_accumulates() {
         let l = list();
         let mut m = MonitoredSet::new();
-        assert_eq!(m.ingest(0, l.snapshot(0)), 3);
+        assert_eq!(m.ingest(0, l.present(0)), 3);
         assert_eq!(m.len(), 3);
         // week 5: one new site
-        assert_eq!(m.ingest(5, l.snapshot(5)), 1);
+        assert_eq!(m.ingest(5, l.present(5)), 1);
         // re-ingesting adds nothing
-        assert_eq!(m.ingest(6, l.snapshot(5)), 0);
+        assert_eq!(m.ingest(6, l.present(5)), 0);
         // sites never leave
         assert_eq!(m.ingest(7, vec![0]), 0);
         assert_eq!(m.len(), 4);
@@ -215,7 +183,7 @@ mod tests {
     fn external_inputs_join_the_set() {
         // Penn's DNS-cache tail: ids beyond the ranked list
         let mut m = MonitoredSet::new();
-        m.ingest(0, list().snapshot(0));
+        m.ingest(0, list().present(0));
         let before = m.len();
         m.ingest(3, vec![1000, 1001]);
         assert_eq!(m.len(), before + 2);

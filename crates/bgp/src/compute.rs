@@ -9,16 +9,15 @@
 //! 2. **Peer routes** — each AS adjacent (via a peer edge) to an AS with a
 //!    customer route (or to the destination itself) learns a peer route.
 //!    Peer routes are only exported to customers.
-//! 3. **Provider routes** — Dijkstra-style propagation "down" customer
-//!    edges: a provider exports its best route (of any kind) to customers.
+//! 3. **Provider routes** — level-order propagation "down" customer edges,
+//!    one hop count at a time: a provider exports its best route (of any
+//!    kind) to customers.
 //!
 //! Selection follows BGP decision order: local preference (customer > peer
 //! > provider), then shortest AS path, then lowest next-hop AS id.
 
 use crate::path::AsPath;
 use ipv6web_topology::{AsId, EdgeId, Family, Relationship, Topology};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// How a route was learned — BGP local preference order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -262,40 +261,57 @@ pub fn routes_to_dest(topo: &Topology, dest: AsId, family: Family) -> RoutesToDe
         }
     }
 
-    // Phase 3: provider routes — Dijkstra down customer edges. Sources are
-    // all ASes holding customer or peer routes; anything they reach through
-    // "provider exports to customer" becomes a provider route.
-    let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::new(); // (hops, next_id, node)
-    for (i, entry) in entries.iter().enumerate().take(n) {
+    // Phase 3: provider routes — level order down customer edges. Sources
+    // are all ASes holding customer or peer routes, bucketed by hop count;
+    // anything they reach through "provider exports to customer" becomes a
+    // provider route one level below. Every edge costs one hop, so levels
+    // are final in order, and within a level the kept entry is the minimum
+    // (kind, hops, next-hop id) whatever order its candidates arrive in.
+    let mut levels: Vec<Vec<AsId>> = Vec::new();
+    for (i, entry) in entries.iter().enumerate() {
         if let Some(e) = entry {
-            heap.push(Reverse((e.hops, e.next.map_or(0, |(a, _)| a.0), i as u32)));
+            let h = e.hops as usize;
+            if levels.len() <= h {
+                levels.resize_with(h + 1, Vec::new);
+            }
+            levels[h].push(AsId(i as u32));
         }
     }
-    while let Some(Reverse((hops, _, u))) = heap.pop() {
-        let u = AsId(u);
-        let Some(eu) = entries[u.index()] else { continue };
-        if eu.hops != hops {
-            continue; // stale heap entry
-        }
-        for &(nbr, rel, eid) in topo.neighbors(u, family) {
-            // u exports to its customers: rel from u's view == ProviderOf
-            if rel != Relationship::ProviderOf {
-                continue;
-            }
-            let cand = (RouteKind::Provider, hops + 1, u.0);
-            let take = match entries[nbr.index()] {
-                None => true,
-                Some(e) => {
-                    let inc_next = e.next.map_or(u32::MAX, |(a, _)| a.0);
-                    better(cand, (e.kind, e.hops, inc_next))
+    let mut hops = 0;
+    while hops < levels.len() {
+        let level = std::mem::take(&mut levels[hops]);
+        let cand_hops = hops as u32 + 1;
+        for &u in &level {
+            for &(nbr, rel, eid) in topo.neighbors(u, family) {
+                // u exports to its customers: rel from u's view == ProviderOf
+                if rel != Relationship::ProviderOf {
+                    continue;
                 }
-            };
-            if take {
-                entries[nbr.index()] =
-                    Some(Entry { kind: RouteKind::Provider, hops: hops + 1, next: Some((u, eid)) });
-                heap.push(Reverse((hops + 1, u.0, nbr.0)));
+                let cand = (RouteKind::Provider, cand_hops, u.0);
+                let take = match entries[nbr.index()] {
+                    None => true,
+                    Some(e) => {
+                        let inc_next = e.next.map_or(u32::MAX, |(a, _)| a.0);
+                        better(cand, (e.kind, e.hops, inc_next))
+                    }
+                };
+                if take {
+                    let first_time = entries[nbr.index()].is_none();
+                    entries[nbr.index()] = Some(Entry {
+                        kind: RouteKind::Provider,
+                        hops: cand_hops,
+                        next: Some((u, eid)),
+                    });
+                    if first_time {
+                        if levels.len() <= hops + 1 {
+                            levels.push(Vec::new());
+                        }
+                        levels[hops + 1].push(nbr);
+                    }
+                }
             }
         }
+        hops += 1;
     }
 
     RoutesToDest::from_entries(dest, family, &entries)

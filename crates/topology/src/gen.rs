@@ -10,7 +10,7 @@
 
 use crate::asys::{AsId, AsNode, IdOverflow, Region, Tier, V6Profile};
 use crate::dualstack::DualStackConfig;
-use crate::graph::{Family, Topology, TunnelInfo};
+use crate::graph::{Topology, TunnelInfo};
 use crate::link::LinkProps;
 use crate::relationship::Relationship;
 use ipv6web_stats::{coin, derive_rng, lognormal};
@@ -423,64 +423,46 @@ fn stitch_v6_islands<R: Rng>(
         return; // no dual tier-1 => degenerate world, nothing to anchor to
     }
 
-    // uplinked = can reach a dual tier-1 via v6 CustomerOf chain.
-    let compute_uplinked = |edges: &Vec<ProtoEdge>| -> Vec<bool> {
-        let mut uplinked = vec![false; nodes.len()];
-        for &r in &relays {
-            uplinked[r] = true;
-        }
-        // Providers have strictly lower indices by construction, so a single
-        // ascending-order fixpoint loop converges quickly.
-        loop {
-            let mut changed = false;
-            for e in edges.iter() {
-                if !e.v6 {
-                    continue;
-                }
-                // e.rel_a is from a's perspective.
-                let (cust, prov) = match e.rel_a {
-                    Relationship::CustomerOf => (e.a.index(), e.b.index()),
-                    Relationship::ProviderOf => (e.b.index(), e.a.index()),
-                    Relationship::Peer => continue,
-                };
-                if uplinked[prov] && !uplinked[cust] {
-                    uplinked[cust] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        uplinked
-    };
+    // Every edge index touching each AS, ascending: the native-upgrade
+    // draw indexes into candidates in edge order. Tunnels are appended to
+    // both endpoints as they are added, which keeps the lists ascending.
+    let mut incident: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    for (i, e) in edges.iter().enumerate() {
+        incident[e.a.index()].push(i);
+        incident[e.b.index()].push(i);
+    }
 
-    loop {
-        let uplinked = compute_uplinked(edges);
-        // Lowest-index stranded dual AS first: its dual providers are all
-        // lower-index, hence already uplinked — every fix makes progress.
-        let Some(u) = (0..nodes.len()).find(|&u| nodes[u].is_dual_stack() && !uplinked[u]) else {
-            break;
-        };
+    // uplinked = can reach a dual tier-1 via a v6 CustomerOf chain. Fixes
+    // only add v6 edges, so the set only grows: each fix marks the fixed AS
+    // and its v6 customer cone, which is exactly what recomputing the
+    // fixpoint from scratch would add.
+    let mut uplinked = vec![false; nodes.len()];
+    for &r in &relays {
+        mark_cone(r, edges, &incident, &mut uplinked);
+    }
 
+    // Lowest-index stranded dual AS first: its dual providers are all
+    // lower-index, hence already uplinked — every fix makes progress. A fix
+    // never strands an AS, so one ascending pass visits them all in order.
+    for u in 0..nodes.len() {
+        if !nodes[u].is_dual_stack() || uplinked[u] {
+            continue;
+        }
         let mut fixed = false;
         if !coin(rng, d.tunnel_prob) {
             // Native upgrade: one of u's v4 provider edges toward a
             // dual-stack uplinked provider starts carrying IPv6.
-            let mut candidates: Vec<usize> = Vec::new();
-            for (i, e) in edges.iter().enumerate() {
-                if !e.v4 || e.v6 {
-                    continue;
-                }
-                let (cust, prov) = match e.rel_a {
-                    Relationship::CustomerOf => (e.a.index(), e.b.index()),
-                    Relationship::ProviderOf => (e.b.index(), e.a.index()),
-                    Relationship::Peer => continue,
-                };
-                if cust == u && nodes[prov].is_dual_stack() && uplinked[prov] {
-                    candidates.push(i);
-                }
-            }
+            let candidates: Vec<usize> = incident[u]
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let e = &edges[i];
+                    e.v4 && !e.v6
+                        && customer_provider(e).is_some_and(|(cust, prov)| {
+                            cust == u && nodes[prov].is_dual_stack() && uplinked[prov]
+                        })
+                })
+                .collect();
             if let Some(&i) = candidates.choose(rng) {
                 edges[i].v6 = true;
                 fixed = true;
@@ -507,6 +489,8 @@ fn stitch_v6_islands<R: Rng>(
                 .copied()
                 .unwrap_or_else(|| *relays.choose(rng).expect("non-empty"));
             let props = link_props(rng, &nodes[u], &nodes[relay]);
+            incident[u].push(edges.len());
+            incident[relay].push(edges.len());
             edges.push(ProtoEdge {
                 a: nodes[u].id,
                 b: nodes[relay].id,
@@ -520,13 +504,45 @@ fn stitch_v6_islands<R: Rng>(
                 }),
             });
         }
+        mark_cone(u, edges, &incident, &mut uplinked);
     }
-    let _ = Family::V6; // family used by callers; silence unused-import lint paths
+}
+
+/// `(customer, provider)` indices of a customer–provider edge; `None` for a
+/// peering. `rel_a` is from `a`'s perspective.
+fn customer_provider(e: &ProtoEdge) -> Option<(usize, usize)> {
+    match e.rel_a {
+        Relationship::CustomerOf => Some((e.a.index(), e.b.index())),
+        Relationship::ProviderOf => Some((e.b.index(), e.a.index())),
+        Relationship::Peer => None,
+    }
+}
+
+/// Marks `root` and every AS below it along v6 customer edges as uplinked,
+/// stopping at ASes already marked (their cones are marked too).
+fn mark_cone(root: usize, edges: &[ProtoEdge], incident: &[Vec<usize>], uplinked: &mut [bool]) {
+    uplinked[root] = true;
+    let mut stack = vec![root];
+    while let Some(prov) = stack.pop() {
+        for &i in &incident[prov] {
+            let e = &edges[i];
+            if !e.v6 {
+                continue;
+            }
+            if let Some((cust, p)) = customer_provider(e) {
+                if p == prov && !uplinked[cust] {
+                    uplinked[cust] = true;
+                    stack.push(cust);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Family;
 
     fn small() -> Topology {
         generate(&TopologyConfig::test_small(), 42)

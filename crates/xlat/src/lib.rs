@@ -399,8 +399,7 @@ mod tests {
         assert!(!cfg.is_active());
         assert_eq!(cfg.validate(), Ok(()));
         // roundtrip with a non-default block
-        let mut active = XlatConfig::default();
-        active.gateways = 3;
+        let mut active = XlatConfig { gateways: 3, ..XlatConfig::default() };
         active.stacks.push(("Go6-Slovenia".to_string(), ClientStack::V6Only));
         let json = serde_json::to_string(&active).unwrap();
         let back: XlatConfig = serde_json::from_str(&json).unwrap();
@@ -411,8 +410,7 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_nonsense() {
-        let mut cfg = XlatConfig::default();
-        cfg.extra_loss = 1.5;
+        let cfg = XlatConfig { extra_loss: 1.5, ..XlatConfig::default() };
         assert!(cfg.validate().is_err());
         let mut stackless = XlatConfig::default();
         stackless.stacks.push(("Go6-Slovenia".to_string(), ClientStack::V6Only));
